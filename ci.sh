@@ -300,7 +300,7 @@ REGISTERED_COUNTERS = [
 REQUIRED_SPANS = {
     "stage.prepare", "stage.block", "stage.score", "stage.merge",
     "stage.propagate", "stage.select", "score.tier1", "score.tier2",
-    "merge.row", "exec.lane",
+    "merge.row", "exec.lane", "block.closure",
 }
 
 trace_path, report_path = sys.argv[1], sys.argv[2]
@@ -488,6 +488,29 @@ print(
     f"{mem['peak_rss_bytes'] / 2**20:.1f} MiB under ceiling "
     f"{mem['ceiling_bytes'] / 2**20:.1f} MiB"
 )
+PY
+
+echo "==> perfbench paper_pair answer smoke (text to workbook, correctness only)"
+# Not a speed gate: one short run of the real text-to-workbook pair match
+# must report selections that agree with the planted truth ("correct")
+# and no failed operation.
+python3 perfbench/run.py --workload paper_pair --seed 1 --seconds 3 --trace 0 \
+    > target/ci.paper_pair.out
+python3 - target/ci.paper_pair.out <<'PY'
+import json
+import sys
+
+path = sys.argv[1]
+with open(path) as fh:
+    lines = [line for line in fh.read().splitlines() if line.strip()]
+if not lines:
+    sys.exit(f"{path}: perfbench printed no result line")
+result = json.loads(lines[-1])
+if result.get("correct") is not True:
+    sys.exit(f"{path}: paper_pair answer not correct: {lines[-1]}")
+if result.get("failed") != 0:
+    sys.exit(f"{path}: paper_pair had failed operations: {lines[-1]}")
+print(f"{path}: paper_pair correct, {result['attempted']} operations, 0 failed")
 PY
 
 echo "ci.sh: all gates passed"

@@ -18,7 +18,7 @@ use crate::index::{BlockingPolicy, CandidateSet};
 use crate::matrix::MatchMatrix;
 use crate::merger::MergeStrategy;
 use crate::pipeline::{MatchPipeline, StageTimings};
-use crate::prepare::{FeatureCache, PreparedSchema};
+use crate::prepare::{FeatureCache, PrepareLanes, PreparedSchema};
 use crate::voter::{default_voters, MatchVoter};
 use sm_schema::{ElementId, Schema};
 use sm_text::normalize::Normalizer;
@@ -275,9 +275,18 @@ impl MatchEngine {
 
     /// Fetch (or build) the cached per-schema preparation — the Prepare
     /// stage's per-schema half, exposed so repositories and n-way efforts can
-    /// warm the cache explicitly.
+    /// warm the cache explicitly. A miss on a large schema builds over this
+    /// engine's executor, thread cap and lane budget (see
+    /// [`PreparedSchema::build_on`]).
     pub fn prepare(&self, schema: &Schema) -> Arc<PreparedSchema> {
-        self.cache.prepare(schema)
+        self.cache.get_or_prepare_on(
+            schema,
+            Some(PrepareLanes {
+                exec: &self.exec,
+                parallelism: self.threads,
+                budget: self.lane_budget.as_deref(),
+            }),
+        )
     }
 
     /// A staged view of this engine's configuration.

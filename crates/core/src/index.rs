@@ -57,10 +57,12 @@
 //! reads its parents' *scored* base value, never an unscored zero) and
 //! implicitly recovers container pairs whose own names disagree but whose
 //! children overlap — exactly the pairs the `StructureVoter` exists for.
-//! The union, child-rescue, and parent-closure passes all operate on one
-//! flat packed pair list (sorted `(row << 32) | col` keys) instead of
-//! per-row `Vec<Vec<u32>>` buffers: closure membership is a merge walk over
-//! sorted runs, not a linear `contains` per frontier pair.
+//! The union, rescue, and parent-closure passes build the candidate set row
+//! by row with no global sort: the backward probe is transposed into
+//! per-source rows by one counting pass, each row merges its sorted inputs
+//! and deduplicates the rest against a per-target stamp, and one pass in
+//! descending row order (children before parents) pulls every finished
+//! child row's parent pairs into its parent row.
 
 use crate::exec::Executor;
 use crate::prepare::PreparedSchema;
@@ -181,7 +183,7 @@ pub struct CandidateSet {
 impl CandidateSet {
     /// Build from per-row candidate lists (each list must be sorted and
     /// deduplicated). Used by the [`reference`] implementation and tests;
-    /// the CSR path assembles from a flat sorted pair list instead.
+    /// the CSR path writes its rows straight into the flat layout instead.
     pub(crate) fn from_rows(rows_lists: Vec<Vec<u32>>, cols: usize) -> Self {
         let rows = rows_lists.len();
         let mut offsets = Vec::with_capacity(rows + 1);
@@ -191,35 +193,6 @@ impl CandidateSet {
             debug_assert!(list.windows(2).all(|w| w[0] < w[1]), "sorted + deduped");
             targets.extend(list);
             offsets.push(targets.len());
-        }
-        CandidateSet {
-            rows,
-            cols,
-            offsets,
-            targets,
-        }
-    }
-
-    /// Build from a sorted, deduplicated flat list of packed
-    /// `(row << 32) | col` pairs — the zero-copy output of the flat
-    /// union/closure passes.
-    fn from_sorted_pairs(rows: usize, cols: usize, pairs: &[u64]) -> Self {
-        debug_assert!(pairs.windows(2).all(|w| w[0] < w[1]), "sorted + deduped");
-        let mut offsets = Vec::with_capacity(rows + 1);
-        let mut targets = Vec::with_capacity(pairs.len());
-        offsets.push(0);
-        let mut row = 0usize;
-        for &p in pairs {
-            let (r, c) = ((p >> 32) as usize, (p & 0xffff_ffff) as u32);
-            while row < r {
-                offsets.push(targets.len());
-                row += 1;
-            }
-            targets.push(c);
-        }
-        while row < rows {
-            offsets.push(targets.len());
-            row += 1;
         }
         CandidateSet {
             rows,
@@ -321,13 +294,27 @@ pub fn run_chunked<T: Send>(
     chunk: usize,
     f: impl Fn(usize, Range<usize>) -> T + Sync,
 ) -> Vec<T> {
+    run_chunked_budgeted(par, None, n, chunk, f)
+}
+
+/// [`run_chunked`] with helper lanes drawn from `budget` (see
+/// [`crate::exec::LaneBudget`]); `None` is unbudgeted.
+pub fn run_chunked_budgeted<T: Send>(
+    par: Option<(&Executor, usize)>,
+    budget: Option<&crate::exec::LaneBudget>,
+    n: usize,
+    chunk: usize,
+    f: impl Fn(usize, Range<usize>) -> T + Sync,
+) -> Vec<T> {
     let ranges: Vec<Range<usize>> = (0..n)
         .step_by(chunk.max(1))
         .map(|start| start..(start + chunk).min(n))
         .collect();
     match par {
         Some((exec, parallelism)) if parallelism > 1 && ranges.len() > 1 => {
-            exec.run_map(parallelism, &ranges, |index, range| f(index, range.clone()))
+            exec.run_map_budgeted(parallelism, budget, &ranges, |index, range| {
+                f(index, range.clone())
+            })
         }
         _ => ranges
             .into_iter()
@@ -497,31 +484,62 @@ impl ElementTokenIndex {
         &self.name_tokens[self.name_key_offsets[k] as usize..self.name_key_offsets[k + 1] as usize]
     }
 
+    /// Number of distinct name keys.
+    #[inline]
+    fn name_key_count(&self) -> usize {
+        self.name_key_offsets.len() - 1
+    }
+
+    /// Elements bearing the `k`-th name key, ascending.
+    #[inline]
+    fn name_posting(&self, k: usize) -> &[u32] {
+        &self.name_posts[self.name_post_offsets[k] as usize..self.name_post_offsets[k + 1] as usize]
+    }
+
     /// Elements whose full normalized name equals `name_ids` (empty when
     /// none, or when `name_ids` is empty).
     pub fn name_postings(&self, name_ids: &[TokenId]) -> &[u32] {
         if name_ids.is_empty() {
             return &[];
         }
-        let n_keys = self.name_key_offsets.len() - 1;
-        let at = {
-            let (mut lo, mut hi) = (0usize, n_keys);
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                if self.name_key(mid) < name_ids {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
+        let n_keys = self.name_key_count();
+        let (mut lo, mut hi) = (0usize, n_keys);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.name_key(mid) < name_ids {
+                lo = mid + 1;
+            } else {
+                hi = mid;
             }
-            lo
-        };
-        if at < n_keys && self.name_key(at) == name_ids {
-            &self.name_posts
-                [self.name_post_offsets[at] as usize..self.name_post_offsets[at + 1] as usize]
+        }
+        if lo < n_keys && self.name_key(lo) == name_ids {
+            self.name_posting(lo)
         } else {
             &[]
         }
+    }
+
+    /// For every element of `self`, the slot of its name key in `other`'s
+    /// name table (`u32::MAX` when no element of `other` bears that name)
+    /// — one merge join of the two sorted key tables instead of a binary
+    /// search per element. Both indices must intern through one arena.
+    fn name_slots_in(&self, other: &ElementTokenIndex) -> Vec<u32> {
+        let mut slots = vec![u32::MAX; self.len];
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < self.name_key_count() && j < other.name_key_count() {
+            match self.name_key(i).cmp(other.name_key(j)) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    for &e in self.name_posting(i) {
+                        slots[e as usize] = j as u32;
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        slots
     }
 
     /// Number of indexed elements.
@@ -588,17 +606,18 @@ impl ElementTokenIndex {
     }
 }
 
-/// One side's probe output in CSR form: per probing element, a slice of
-/// `(candidate, overlap weight)` entries.
+/// One side's probe output in CSR form: per probing element, its kept
+/// candidates, ascending. Weights are consumed inside the probe (the
+/// child-rescue filter), so only the columns travel to the union pass.
 struct ProbeRows {
     offsets: Vec<u32>,
-    entries: Vec<(u32, f64)>,
+    targets: Vec<u32>,
 }
 
 impl ProbeRows {
     #[inline]
-    fn row(&self, r: usize) -> &[(u32, f64)] {
-        &self.entries[self.offsets[r] as usize..self.offsets[r + 1] as usize]
+    fn row(&self, r: usize) -> &[u32] {
+        &self.targets[self.offsets[r] as usize..self.offsets[r + 1] as usize]
     }
 }
 
@@ -735,8 +754,17 @@ fn probe_element(
 /// other's. Each lane owns one [`ProbeScratch`], reused across all its
 /// claims. Outputs are stitched per direction in element order:
 /// bit-identical at any lane count.
+///
+/// The chunks also collect the child-rescue seeds: every kept
+/// `(source, target, weight)` of either direction whose weight reaches
+/// [`CHILD_RESCUE_WEIGHT`] and whose elements both have children. Only
+/// such pairs can ever fan out, and the rescue orders its seeds by a total
+/// order, so collecting them per chunk (in any chunk order) changes
+/// nothing while keeping the weights out of the serial union pass.
 #[allow(clippy::too_many_arguments)]
 fn probe_sides(
+    source: &Schema,
+    target: &Schema,
     prepared_source: &PreparedSchema,
     prepared_target: &PreparedSchema,
     source_index: &ElementTokenIndex,
@@ -744,7 +772,7 @@ fn probe_sides(
     policy: &BlockingPolicy,
     par: Option<(&Executor, usize)>,
     gov: GovernedExec<'_>,
-) -> (ProbeRows, ProbeRows) {
+) -> (ProbeRows, ProbeRows, Vec<(u32, u32, f64)>) {
     let rows = prepared_source.len();
     let cols = prepared_target.len();
     struct ChunkDesc {
@@ -754,7 +782,9 @@ fn probe_sides(
     }
     struct ChunkOut {
         counts: Vec<u32>,
-        entries: Vec<(u32, f64)>,
+        targets: Vec<u32>,
+        /// Child-rescue seeds as `(source, target, weight)`.
+        strong: Vec<(u32, u32, f64)>,
     }
     let mut descs: Vec<ChunkDesc> = Vec::new();
     for start in (0..rows).step_by(CHUNK_ELEMENTS) {
@@ -772,19 +802,34 @@ fn probe_sides(
 
     let run_chunk = |desc: &ChunkDesc, scratch: &mut ProbeScratch| -> ChunkOut {
         let _chunk = crate::obs::span(crate::obs::SpanKind::ProbeChunk, desc.range.len() as u64);
-        let (from, index) = if desc.dir == 0 {
-            (prepared_source, target_index)
+        let (from, index, from_schema, to_schema) = if desc.dir == 0 {
+            (prepared_source, target_index, source, target)
         } else {
-            (prepared_target, source_index)
+            (prepared_target, source_index, target, source)
         };
         let mut out = ChunkOut {
             counts: Vec::with_capacity(desc.range.len()),
-            entries: Vec::new(),
+            targets: Vec::new(),
+            strong: Vec::new(),
         };
         for idx in desc.range.clone() {
             probe_element(from.block_features_of(idx), index, policy, scratch);
             out.counts.push(scratch.kept.len() as u32);
-            out.entries.extend_from_slice(&scratch.kept);
+            let container = !from_schema.elements()[idx].children.is_empty();
+            for &(t, w) in &scratch.kept {
+                out.targets.push(t);
+                if container
+                    && w >= CHILD_RESCUE_WEIGHT
+                    && !to_schema.elements()[t as usize].children.is_empty()
+                {
+                    let (s, t) = if desc.dir == 0 {
+                        (idx as u32, t)
+                    } else {
+                        (t, idx as u32)
+                    };
+                    out.strong.push((s, t, w));
+                }
+            }
         }
         out
     };
@@ -832,14 +877,14 @@ fn probe_sides(
     let stitch = |dir: usize, n: usize| -> ProbeRows {
         let mut probe = ProbeRows {
             offsets: Vec::with_capacity(n + 1),
-            entries: Vec::new(),
+            targets: Vec::new(),
         };
         probe.offsets.push(0);
         for (desc, out) in descs.iter().zip(&outs) {
             if desc.dir != dir {
                 continue;
             }
-            probe.entries.extend_from_slice(&out.entries);
+            probe.targets.extend_from_slice(&out.targets);
             let mut at = *probe.offsets.last().expect("non-empty offsets");
             for &c in &out.counts {
                 at += c;
@@ -848,7 +893,11 @@ fn probe_sides(
         }
         probe
     };
-    (stitch(0, rows), stitch(1, cols))
+    let strong = outs
+        .iter()
+        .flat_map(|out| out.strong.iter().copied())
+        .collect();
+    (stitch(0, rows), stitch(1, cols), strong)
 }
 
 /// Overlap weight at which a candidate *container* pair also enqueues its
@@ -1089,10 +1138,18 @@ pub fn generate_candidates_with_governed(
     )
 }
 
-/// Pack a pair into the sort key of the flat union/closure passes.
-#[inline]
-fn pack(s: u32, t: u32) -> u64 {
-    (u64::from(s) << 32) | u64::from(t)
+/// Append the sorted union of two ascending slices to `out` (an entry in
+/// both is written once).
+fn union_sorted(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        out.push(x.min(y));
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1133,7 +1190,9 @@ fn generate_candidates_with_opt(
     // Both probe directions (concurrent lanes under an executor). Features
     // come pre-interned from the preparations, so probing allocates no
     // strings.
-    let (fwd, bwd) = probe_sides(
+    let (fwd, bwd, mut strong) = probe_sides(
+        source,
+        target,
         prepared_source,
         prepared_target,
         source_index,
@@ -1143,154 +1202,145 @@ fn generate_candidates_with_opt(
         gov,
     );
 
-    // Union + rescues into one flat packed pair list (no per-row buffers).
-    // `strong` collects child-rescue candidates: only pairs where *both*
-    // elements are containers can ever fan out, and a childless entry has
-    // zero side effects in the capped rescue loop (its skip increments no
-    // fanout counter), so filtering here is invisible to the result while
-    // shrinking the weight-sorted buffer from "most kept pairs" (almost
-    // everything clears the weight bound) to the handful of container
-    // collisions.
-    let source_has_children: Vec<bool> = source
-        .elements()
-        .iter()
-        .map(|e| !e.children.is_empty())
-        .collect();
-    let target_has_children: Vec<bool> = target
-        .elements()
-        .iter()
-        .map(|e| !e.children.is_empty())
-        .collect();
-    let mut pairs: Vec<u64> =
-        Vec::with_capacity(fwd.entries.len() + bwd.entries.len() + rows + cols);
-    let mut strong: Vec<(u32, u32, f64)> = Vec::new();
-    for (s, &s_container) in source_has_children.iter().enumerate() {
-        for &(t, w) in fwd.row(s) {
-            pairs.push(pack(s as u32, t));
-            if w >= CHILD_RESCUE_WEIGHT && s_container && target_has_children[t as usize] {
-                strong.push((s as u32, t, w));
-            }
-        }
-        // Exact-name rescue: equal normalized name-token sequences (the
-        // exact-name voter's equality test) are always candidates. Empty
-        // bags excepted — the voter is neutral on those. The name table
-        // lives on the prebuilt index, so a batch pays it once per schema.
-        let ids = prepared_source.element(s).name_ids.as_slice();
-        for &t in target_index.name_postings(ids) {
-            pairs.push(pack(s as u32, t));
-        }
-    }
-    for (t, &t_container) in target_has_children.iter().enumerate() {
-        for &(s, w) in bwd.row(t) {
-            pairs.push(pack(s, t as u32));
-            if w >= CHILD_RESCUE_WEIGHT && t_container && source_has_children[s as usize] {
-                strong.push((s, t as u32, w));
-            }
-        }
-    }
+    let _closure = crate::obs::span(crate::obs::SpanKind::BlockClosure, rows as u64);
+    let src = source.elements();
+    let tgt = target.elements();
 
     // Child rescue for strongly-overlapping container pairs, capped at each
-    // container's strongest partners (both directions).
-    strong.sort_unstable_by(|a, b| {
-        (a.0, a.1)
-            .cmp(&(b.0, b.1))
-            .then(b.2.partial_cmp(&a.2).expect("finite"))
-    });
+    // container's strongest partners (both directions): keep each pair's
+    // best weight, then walk pairs by (weight desc, pair asc).
+    // Weights are finite sums of positive IDF weights, on which `total_cmp`
+    // is the reference's `partial_cmp` order.
+    strong.sort_unstable_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)).then(b.2.total_cmp(&a.2)));
     strong.dedup_by_key(|&mut (s, t, _)| (s, t));
-    strong.sort_unstable_by(|a, b| {
-        b.2.partial_cmp(&a.2)
-            .expect("finite")
-            .then((a.0, a.1).cmp(&(b.0, b.1)))
-    });
+    strong.sort_unstable_by(|a, b| b.2.total_cmp(&a.2).then((a.0, a.1).cmp(&(b.0, b.1))));
     let mut source_fanout = vec![0usize; rows];
     let mut target_fanout = vec![0usize; cols];
+    // Rescued container pairs, sorted by source so a child row finds its
+    // parent's partners by binary search.
+    let mut rescued: Vec<(u32, u32)> = Vec::new();
     for (s, t, _) in strong {
-        let (s, t) = (s as usize, t as usize);
-        if source_fanout[s] >= CHILD_RESCUE_PARTNERS || target_fanout[t] >= CHILD_RESCUE_PARTNERS {
+        let (si, ti) = (s as usize, t as usize);
+        if source_fanout[si] >= CHILD_RESCUE_PARTNERS || target_fanout[ti] >= CHILD_RESCUE_PARTNERS
+        {
             continue;
         }
-        // Both sides have children by the collection filter above.
-        let sc = &source.elements()[s].children;
-        let tc = &target.elements()[t].children;
-        debug_assert!(!sc.is_empty() && !tc.is_empty());
-        source_fanout[s] += 1;
-        target_fanout[t] += 1;
-        for &cs in sc {
-            for ct in tc {
-                pairs.push(pack(cs.0, ct.0));
-            }
+        source_fanout[si] += 1;
+        target_fanout[ti] += 1;
+        rescued.push((s, t));
+    }
+    rescued.sort_unstable();
+
+    // Transpose the backward probe into per-source rows with one counting
+    // pass; visiting `t` ascending keeps every transposed row sorted.
+    let mut tr_offsets = vec![0u32; rows + 1];
+    for &s in &bwd.targets {
+        tr_offsets[s as usize + 1] += 1;
+    }
+    for r in 0..rows {
+        tr_offsets[r + 1] += tr_offsets[r];
+    }
+    let mut tr_next: Vec<u32> = tr_offsets[..rows].to_vec();
+    let mut tr_targets = vec![0u32; bwd.targets.len()];
+    for t in 0..cols {
+        for &s in bwd.row(t) {
+            tr_targets[tr_next[s as usize] as usize] = t as u32;
+            tr_next[s as usize] += 1;
         }
     }
-
-    pairs.sort_unstable();
-    pairs.dedup();
-
-    // Parent closure (transitive): parents of candidates are candidates.
-    // Level by level: the frontier is the sorted set of parent pairs of the
-    // previous level's *new* pairs; membership is a merge walk against the
-    // sorted accumulated set, and each level merges in sorted order. The
-    // loop depth is the schema tree height, and the resulting set is the
-    // unique parenthood closure — identical to the reference's
-    // stack-based `contains` walk, without its linear scans.
-    let source_parents: Vec<Option<u32>> = source
-        .elements()
+    let name_slot = source_index.name_slots_in(target_index);
+    let target_parent: Vec<u32> = tgt
         .iter()
-        .map(|e| e.parent.map(|p| p.0))
+        .map(|e| e.parent.map_or(u32::MAX, |p| p.0))
         .collect();
-    let target_parents: Vec<Option<u32>> = target
-        .elements()
-        .iter()
-        .map(|e| e.parent.map(|p| p.0))
-        .collect();
-    let parents_of = |level: &[u64]| -> Vec<u64> {
-        let mut up: Vec<u64> = level
-            .iter()
-            .filter_map(|&p| {
-                let (s, t) = ((p >> 32) as usize, (p & 0xffff_ffff) as usize);
-                match (source_parents[s], target_parents[t]) {
-                    (Some(ps), Some(pt)) => Some(pack(ps, pt)),
-                    _ => None,
+
+    // One pass over source rows, children before parents. Ids are assigned
+    // parent-first (`Schema::add_child` takes an existing parent), so
+    // descending id order is a topological order of the forest: when row
+    // `s` is built, every child row is already final and its parent pairs
+    // `(s, parent(t))` can be pulled in — the transitive parent closure in
+    // a single pass, with no depth computation and no recursion.
+    //
+    // Row `s` is the union of its forward probe row, its transposed
+    // backward row, its exact-name rescue, the children of its parent's
+    // rescued partners, and the parent pairs of its children's rows.
+    // `stamp[t] == s` marks `t` as already in row `s`. Finished rows are
+    // appended to `done` in descending row order: row `s` is
+    // `done[ends[s + 1]..ends[s]]`.
+    let mut stamp = vec![u32::MAX; cols];
+    let mut done: Vec<u32> = Vec::with_capacity(fwd.targets.len() + bwd.targets.len() + rows);
+    let mut ends = vec![0usize; rows + 1];
+    let mut row: Vec<u32> = Vec::new();
+    let mut extra: Vec<u32> = Vec::new();
+    for s in (0..rows).rev() {
+        let s32 = s as u32;
+        row.clear();
+        union_sorted(
+            fwd.row(s),
+            &tr_targets[tr_offsets[s] as usize..tr_offsets[s + 1] as usize],
+            &mut row,
+        );
+        for &t in &row {
+            stamp[t as usize] = s32;
+        }
+        extra.clear();
+        let mut add = |t: u32| {
+            if stamp[t as usize] != s32 {
+                stamp[t as usize] = s32;
+                extra.push(t);
+            }
+        };
+        // Exact-name rescue: equal normalized name-token sequences (the
+        // exact-name voter's equality test) are always candidates. Empty
+        // bags excepted — the voter is neutral on those (and no name table
+        // holds them). The tables live on the prebuilt indices, so a batch
+        // pays them once per schema.
+        if name_slot[s] != u32::MAX {
+            for &t in target_index.name_posting(name_slot[s] as usize) {
+                add(t);
+            }
+        }
+        if let Some(p) = src[s].parent {
+            let lo = rescued.partition_point(|&(rs, _)| rs < p.0);
+            let hi = rescued.partition_point(|&(rs, _)| rs <= p.0);
+            for &(_, t) in &rescued[lo..hi] {
+                for ct in &tgt[t as usize].children {
+                    add(ct.0);
                 }
-            })
-            .collect();
-        up.sort_unstable();
-        up.dedup();
-        up
-    };
-    let mut frontier = parents_of(&pairs);
-    while !frontier.is_empty() {
-        // fresh = frontier \ pairs (both sorted).
-        let mut fresh: Vec<u64> = Vec::new();
-        let mut at = 0usize;
-        for &p in &frontier {
-            while at < pairs.len() && pairs[at] < p {
-                at += 1;
-            }
-            if at >= pairs.len() || pairs[at] != p {
-                fresh.push(p);
             }
         }
-        if fresh.is_empty() {
-            break;
-        }
-        let mut merged: Vec<u64> = Vec::with_capacity(pairs.len() + fresh.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < pairs.len() && j < fresh.len() {
-            if pairs[i] < fresh[j] {
-                merged.push(pairs[i]);
-                i += 1;
-            } else {
-                merged.push(fresh[j]);
-                j += 1;
+        for c in &src[s].children {
+            debug_assert!(c.index() > s, "child ids follow their parent's");
+            for &t in &done[ends[c.index() + 1]..ends[c.index()]] {
+                let pt = target_parent[t as usize];
+                if pt != u32::MAX {
+                    add(pt);
+                }
             }
         }
-        merged.extend_from_slice(&pairs[i..]);
-        merged.extend_from_slice(&fresh[j..]);
-        pairs = merged;
-        frontier = parents_of(&fresh);
+        if extra.is_empty() {
+            done.extend_from_slice(&row);
+        } else {
+            extra.sort_unstable();
+            union_sorted(&row, &extra, &mut done);
+        }
+        ends[s] = done.len();
     }
 
-    CandidateSet::from_sorted_pairs(rows, cols, &pairs)
+    // Lay the rows out in ascending order.
+    let mut offsets = Vec::with_capacity(rows + 1);
+    let mut targets = Vec::with_capacity(done.len());
+    offsets.push(0);
+    for s in 0..rows {
+        targets.extend_from_slice(&done[ends[s + 1]..ends[s]]);
+        offsets.push(targets.len());
+    }
+    CandidateSet {
+        rows,
+        cols,
+        offsets,
+        targets,
+    }
 }
 
 pub mod reference {

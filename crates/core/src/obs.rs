@@ -102,10 +102,13 @@ pub enum SpanKind {
     /// Time a serving-layer job spent queued before admission (payload =
     /// job class discriminant).
     ServeQueueWait = 24,
+    /// The Block stage's union, rescue and parent-closure pass (payload =
+    /// source rows).
+    BlockClosure = 25,
 }
 
 /// All kinds, in discriminant order (export iteration order).
-pub const SPAN_KINDS: [SpanKind; 25] = [
+pub const SPAN_KINDS: [SpanKind; 26] = [
     SpanKind::StagePrepare,
     SpanKind::StageBlock,
     SpanKind::StageScore,
@@ -131,6 +134,7 @@ pub const SPAN_KINDS: [SpanKind; 25] = [
     SpanKind::RepoWarmLoad,
     SpanKind::ServeJob,
     SpanKind::ServeQueueWait,
+    SpanKind::BlockClosure,
 ];
 
 impl SpanKind {
@@ -162,6 +166,7 @@ impl SpanKind {
             SpanKind::RepoWarmLoad => "repo.warm_load",
             SpanKind::ServeJob => "serve.job",
             SpanKind::ServeQueueWait => "serve.queue",
+            SpanKind::BlockClosure => "block.closure",
         }
     }
 

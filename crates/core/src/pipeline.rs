@@ -281,7 +281,7 @@ impl<'e> MatchPipeline<'e> {
         let started = Instant::now();
         let prop_start = obs::now_ns();
         if self.engine.propagation_alpha > 0.0 {
-            self.propagate(ctx.source, ctx.target, &mut matrix);
+            self.propagate(ctx.source, ctx.target, &mut matrix, None);
         }
         timings.propagate = started.elapsed();
         obs::record_span(
@@ -451,7 +451,7 @@ impl<'e> MatchPipeline<'e> {
         let started = Instant::now();
         let prop_start = obs::now_ns();
         if self.engine.propagation_alpha > 0.0 {
-            self.propagate_blocked(ctx.source, ctx.target, &mut matrix, &candidates);
+            self.propagate(ctx.source, ctx.target, &mut matrix, Some(&candidates));
         }
         timings.propagate = started.elapsed();
         obs::record_span(
@@ -759,60 +759,61 @@ impl<'e> MatchPipeline<'e> {
         }
     }
 
-    /// Sparse Stage 4: the dense propagation blend, applied only to rows
-    /// that have candidates. Within such a row every parented cell is
-    /// blended (non-candidate cells blend their stored neutral `0.0` with
-    /// the parents' scored base — densifying children of strong container
-    /// pairs for free). Rows without candidates are untouched. Under the
-    /// exhaustive policy every row has candidates, making this identical to
-    /// the dense pass.
-    fn propagate_blocked(
+    /// Stage 4: blend every parented cell of every *active* source row with
+    /// its parents' *base* merged score (order-independent single pass).
+    /// The dense run passes `None` — every row active; the blocked run
+    /// passes its candidates, and a row is active when it has any. Within
+    /// an active row every parented cell is blended (non-candidate cells
+    /// blend their stored neutral `0.0` with the parents' scored base —
+    /// densifying children of strong container pairs for free). Under the
+    /// exhaustive policy every row has candidates, so both runs blend the
+    /// same cells.
+    ///
+    /// Only the base rows some active row reads — its parent's — are
+    /// snapshotted before the blend, not the whole matrix: at paper scale
+    /// that is the container rows, a small fraction of the sources.
+    fn propagate(
         &self,
         source: &Schema,
         target: &Schema,
         matrix: &mut MatchMatrix,
-        candidates: &CandidateSet,
+        candidates: Option<&CandidateSet>,
     ) {
         let alpha = self.engine.propagation_alpha;
-        let base = matrix.clone();
-        let target_parents: Vec<Option<ElementId>> =
-            target.elements().iter().map(|e| e.parent).collect();
-        for s in source.ids() {
-            if candidates.row(s.index()).is_empty() {
-                continue;
-            }
+        let cols = matrix.cols();
+        let active = |s: ElementId| candidates.is_none_or(|c| !c.row(s.index()).is_empty());
+        // Parented target columns as `(column, parent column)`.
+        let parented: Vec<(usize, usize)> = target
+            .elements()
+            .iter()
+            .enumerate()
+            .filter_map(|(j, e)| e.parent.map(|pt| (j, pt.index())))
+            .collect();
+        // Snapshot slot of each parent row read, in first-read order.
+        let mut slot = vec![u32::MAX; matrix.rows()];
+        let mut slots = 0u32;
+        let mut base: Vec<f64> = Vec::new();
+        for s in source.ids().filter(|&s| active(s)) {
             let Some(ps) = source.element(s).parent else {
                 continue;
             };
-            let row = matrix.row_mut(s);
-            for (j, cell) in row.iter_mut().enumerate() {
-                if let Some(pt) = target_parents[j] {
-                    let own = f64::from(*cell);
-                    let par = base.get(ps, pt).value();
-                    *cell = ((1.0 - alpha) * own + alpha * par) as f32;
-                }
+            if slot[ps.index()] == u32::MAX {
+                slot[ps.index()] = slots;
+                slots += 1;
+                let row = &matrix.as_slice()[ps.index() * cols..(ps.index() + 1) * cols];
+                base.extend(row.iter().map(|&v| Confidence::new(f64::from(v)).value()));
             }
         }
-    }
-
-    /// Stage 4: blend every non-root pair with its parents' *base* merged
-    /// score (order-independent single pass).
-    fn propagate(&self, source: &Schema, target: &Schema, matrix: &mut MatchMatrix) {
-        let alpha = self.engine.propagation_alpha;
-        let base = matrix.clone();
-        let target_parents: Vec<Option<ElementId>> =
-            target.elements().iter().map(|e| e.parent).collect();
-        for s in source.ids() {
+        for s in source.ids().filter(|&s| active(s)) {
             let Some(ps) = source.element(s).parent else {
                 continue;
             };
+            let at = slot[ps.index()] as usize * cols;
+            let parent_row = &base[at..at + cols];
             let row = matrix.row_mut(s);
-            for (j, cell) in row.iter_mut().enumerate() {
-                if let Some(pt) = target_parents[j] {
-                    let own = f64::from(*cell);
-                    let par = base.get(ps, pt).value();
-                    *cell = ((1.0 - alpha) * own + alpha * par) as f32;
-                }
+            for &(j, pt) in &parented {
+                let own = f64::from(row[j]);
+                row[j] = ((1.0 - alpha) * own + alpha * parent_row[pt]) as f32;
             }
         }
     }

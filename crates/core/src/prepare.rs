@@ -20,6 +20,8 @@
 //! depend on the *joint* vocabulary of a match problem) remains per-pair; see
 //! [`crate::context::MatchContext`].
 
+use crate::exec::{Executor, LaneBudget};
+use crate::index::run_chunked_budgeted;
 use sm_schema::{Schema, SchemaId};
 use sm_text::bounds::{id_signature, CharProfile, TokenStat};
 use sm_text::intern::{to_sorted_set, TokenArena, TokenId};
@@ -70,6 +72,50 @@ pub fn schema_fingerprint(schema: &Schema) -> u64 {
 /// wild are short; indexing long raw names as "acronyms" would only add
 /// noise pairs.
 pub(crate) const MAX_ACRONYM_LEN: usize = 6;
+
+/// Schemata with at least this many elements prepare over executor lanes
+/// when the caller offers them ([`PreparedSchema::build_on`]); below it a
+/// fan-out costs more than it saves, so form-sized schemata — every member
+/// of a typical N-way batch or served request — always build inline.
+pub const PARALLEL_PREPARE_MIN_ELEMENTS: usize = 512;
+
+/// Elements per preparation chunk (the blocking index's chunk size).
+const PREPARE_CHUNK_ELEMENTS: usize = 64;
+
+/// Executor lanes a preparation may fan out over: the pool, the caller's
+/// lane cap, and an optional serving-layer helper budget.
+#[derive(Clone, Copy)]
+pub struct PrepareLanes<'a> {
+    /// The pool the chunks run on.
+    pub exec: &'a Executor,
+    /// At most this many lanes (the caller's own included).
+    pub parallelism: usize,
+    /// Helper lanes are claimed against this budget when set.
+    pub budget: Option<&'a LaneBudget>,
+}
+
+/// `f` over every element index `0..n`, in element order — over
+/// [`PREPARE_CHUNK_ELEMENTS`]-sized chunks on `lanes` when given, in one
+/// inline loop otherwise.
+fn map_elements<T: Send>(
+    n: usize,
+    lanes: Option<PrepareLanes<'_>>,
+    f: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let Some(lanes) = lanes else {
+        return (0..n).map(f).collect();
+    };
+    run_chunked_budgeted(
+        Some((lanes.exec, lanes.parallelism)),
+        lanes.budget,
+        n,
+        PREPARE_CHUNK_ELEMENTS,
+        |_, range| range.map(&f).collect::<Vec<T>>(),
+    )
+    .into_iter()
+    .flatten()
+    .collect()
+}
 
 /// Precomputed linguistic features of one element, independent of any
 /// opposing schema.
@@ -189,26 +235,50 @@ impl PreparedSchema {
         Self::build_with_arena(schema, normalizer, Arc::clone(TokenArena::global()))
     }
 
-    /// [`Self::build`] against an explicit arena (private caches, tests).
+    /// [`Self::build`] against an explicit arena (private caches, tests),
+    /// inline on the calling thread.
     pub fn build_with_arena(
         schema: &Schema,
         normalizer: &Normalizer,
         arena: Arc<TokenArena>,
     ) -> Self {
-        let bags: Vec<TokenBag> = schema
-            .elements()
-            .iter()
-            .map(|e| normalizer.name(&e.name))
-            .collect();
+        Self::build_on(schema, normalizer, arena, None)
+    }
+
+    /// [`Self::build_with_arena`], with the per-element work fanned out
+    /// over element chunks on `lanes` when the schema has at least
+    /// [`PARALLEL_PREPARE_MIN_ELEMENTS`] elements (smaller schemata, and
+    /// `None`, build inline).
+    ///
+    /// Two chunked passes: name bags first (every element's context bags
+    /// read its parent's and children's), then everything else. Chunk
+    /// outputs are stitched in element order, so on an arena that already
+    /// holds the schema's tokens the result is identical to the inline
+    /// build at any lane count. On a cold arena, concurrent chunks of the
+    /// second pass may intern new documentation and key tokens in a
+    /// different order: those ids differ, while every string and every
+    /// string-ordered field stays the same.
+    pub fn build_on(
+        schema: &Schema,
+        normalizer: &Normalizer,
+        arena: Arc<TokenArena>,
+        lanes: Option<PrepareLanes<'_>>,
+    ) -> Self {
+        let lanes = lanes.filter(|_| schema.len() >= PARALLEL_PREPARE_MIN_ELEMENTS);
+        let schema_elements = schema.elements();
+        let bags: Vec<TokenBag> = map_elements(schema_elements.len(), lanes, |i| {
+            normalizer.name(&schema_elements[i].name)
+        });
+        // Name tokens intern serially, in element order: cheap next to
+        // normalization, and it gives them the inline build's ids even on a
+        // cold arena.
         let bag_ids: Vec<Vec<TokenId>> = bags.iter().map(|b| arena.intern_all(&b.tokens)).collect();
         let mut signature_ids =
             to_sorted_set(bag_ids.iter().flat_map(|ids| ids.iter().copied()).collect());
         arena.sort_lexical(&mut signature_ids);
-        let elements: Vec<Arc<PreparedElement>> = schema
-            .elements()
-            .iter()
-            .map(|e| {
-                let idx = e.id.index();
+        let elements: Vec<Arc<PreparedElement>> =
+            map_elements(schema_elements.len(), lanes, |idx| {
+                let e = &schema_elements[idx];
                 let parent_bag = e
                     .parent
                     .map(|p| bags[p.index()].clone())
@@ -282,26 +352,14 @@ impl PreparedSchema {
                     },
                     corpus_tokens,
                 })
-            })
-            .collect();
-        let mut block_feature_offsets: Vec<u32> = Vec::with_capacity(elements.len() + 1);
-        block_feature_offsets.push(0);
-        let mut block_feature_ids: Vec<TokenId> =
-            Vec::with_capacity(elements.iter().map(|e| e.block_features.len()).sum());
-        for e in &elements {
-            block_feature_ids.extend_from_slice(&e.block_features);
-            block_feature_offsets.push(block_feature_ids.len() as u32);
-        }
-        PreparedSchema {
-            schema_id: schema.id,
-            fingerprint: schema_fingerprint(schema),
-            arena,
+            });
+        Self::from_prepared_elements_presorted(
+            schema.id,
+            schema_fingerprint(schema),
             elements,
-            signature: OnceLock::new(),
             signature_ids,
-            block_feature_offsets,
-            block_feature_ids,
-        }
+            arena,
+        )
     }
 
     /// Number of prepared elements.
@@ -789,6 +847,18 @@ impl FeatureCache {
     /// `hits` (they were served without building); only the building thread
     /// records a `miss`.
     pub fn get_or_prepare(&self, schema: &Schema) -> Arc<PreparedSchema> {
+        self.get_or_prepare_on(schema, None)
+    }
+
+    /// [`Self::get_or_prepare`] whose build, on a miss, fans out over
+    /// `lanes` (see [`PreparedSchema::build_on`]). Waiters block on the slot
+    /// exactly as before; the builder's lane 0 runs on its own thread, so a
+    /// build completes even when every pool worker is a blocked waiter.
+    pub fn get_or_prepare_on(
+        &self,
+        schema: &Schema,
+        lanes: Option<PrepareLanes<'_>>,
+    ) -> Arc<PreparedSchema> {
         let fp = schema_fingerprint(schema);
         loop {
             // Fast path / rendezvous decision under one short lock.
@@ -853,10 +923,11 @@ impl FeatureCache {
                     crate::obs::add(crate::obs::Counter::CacheMisses, 1);
                     let (prepared, _build_ns) =
                         crate::obs::timed(crate::obs::SpanKind::CacheBuild, fp, || {
-                            Arc::new(PreparedSchema::build_with_arena(
+                            Arc::new(PreparedSchema::build_on(
                                 schema,
                                 &self.normalizer,
                                 Arc::clone(&self.arena),
+                                lanes,
                             ))
                         });
                     guard.publish(Arc::clone(&prepared));

@@ -12,6 +12,7 @@ use harmony_core::index::{
 };
 use harmony_core::prelude::*;
 use proptest::prelude::*;
+use sm_schema::{DataType, ElementId, ElementKind, Schema, SchemaFormat, SchemaId};
 use sm_synth::{GeneratorConfig, SchemaPair};
 use sm_text::normalize::Normalizer;
 use std::sync::Arc;
@@ -38,38 +39,113 @@ fn policies() -> Vec<BlockingPolicy> {
     ]
 }
 
+/// A deterministic pseudo-word: `i` spelled in a 12-syllable alphabet, so
+/// distinct indices give distinct tokens that survive normalization.
+fn word(mut i: usize) -> String {
+    const SYLLABLES: [&str; 12] = [
+        "ka", "lo", "mi", "nu", "pe", "ra", "so", "ti", "vu", "we", "xo", "zy",
+    ];
+    let mut w = String::new();
+    loop {
+        w.push_str(SYLLABLES[i % SYLLABLES.len()]);
+        i /= SYLLABLES.len();
+        if i == 0 {
+            break w;
+        }
+    }
+}
+
+/// A deeply nested pair (tree depth 11). Each side is six chains of ten
+/// nested containers; the container at chain `c`, level `l` carries a rare
+/// token shared with exactly its counterpart on the other side, so
+/// container pairs overlap strongly enough to seed the child rescue at
+/// every level. Each container also holds two leaves named from a small
+/// shared vocabulary drawn by an LCG, so leaf pairs collide across chains
+/// and levels and the parent closure has to climb many levels to add
+/// container pairs no probe produced.
+fn deep_pair() -> (Schema, Schema) {
+    let mut lcg = 0x9e37_79b9_7f4a_7c15u64;
+    let mut draw = |n: usize| {
+        lcg = lcg
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        ((lcg >> 33) as usize) % n
+    };
+    let mut sides = Vec::new();
+    for (id, format) in [(1u32, SchemaFormat::Relational), (2, SchemaFormat::Xml)] {
+        let mut schema = Schema::new(SchemaId(id), format!("deep{id}"), format);
+        for chain in 0..6 {
+            let mut parent: Option<ElementId> = None;
+            for level in 0..10 {
+                let rare = word(1000 + chain * 10 + level);
+                let name = if id == 1 {
+                    format!("{rare}_group")
+                } else {
+                    format!("{}Group", rare.to_uppercase())
+                };
+                let container = match parent {
+                    None => schema.add_root(name, ElementKind::Table, DataType::None),
+                    Some(p) => schema
+                        .add_child(p, name, ElementKind::ComplexType, DataType::None)
+                        .unwrap(),
+                };
+                for _ in 0..2 {
+                    let leaf = format!("{}_{}", word(draw(40)), word(100 + draw(20)));
+                    schema
+                        .add_child(container, leaf, ElementKind::Column, DataType::text())
+                        .unwrap();
+                }
+                parent = Some(container);
+            }
+        }
+        sides.push(schema);
+    }
+    let target = sides.pop().unwrap();
+    let source = sides.pop().unwrap();
+    (source, target)
+}
+
+/// The pinned inputs: three small case-study pairs, one full-scale
+/// 1378×784 case-study pair, and the deep-nesting pair.
+fn pinned_pairs() -> Vec<(String, Schema, Schema)> {
+    let mut pairs: Vec<(String, Schema, Schema)> =
+        [(1u64, 0.06), (29, 0.06), (404, 0.06), (5, 1.0)]
+            .into_iter()
+            .map(|(seed, scale)| {
+                let pair = SchemaPair::generate(&GeneratorConfig::paper_case_study(seed, scale));
+                (
+                    format!("seed {seed} at scale {scale}"),
+                    pair.source,
+                    pair.target,
+                )
+            })
+            .collect();
+    let (source, target) = deep_pair();
+    assert!(source.max_depth() >= 8 && target.max_depth() >= 8);
+    pairs.push(("deep nesting".to_string(), source, target));
+    pairs
+}
+
 /// CSR candidate sets are byte-identical to the map-based reference across
-/// seeds × policies × executor widths (1, 2, 8 — plus the inline no-executor
-/// path).
+/// inputs × policies × executor widths (1, 2, 8 — plus the inline
+/// no-executor path).
 #[test]
 fn csr_candidates_pin_to_reference_across_seeds_policies_threads() {
-    for seed in [1u64, 29, 404] {
-        let pair = SchemaPair::generate(&GeneratorConfig::paper_case_study(seed, 0.06));
+    for (label, source, target) in pinned_pairs() {
         let engine = engine();
-        let ps = engine.prepare(&pair.source);
-        let pt = engine.prepare(&pair.target);
+        let ps = engine.prepare(&source);
+        let pt = engine.prepare(&target);
         for policy in policies() {
-            let expect =
-                reference::generate_candidates(&pair.source, &pair.target, &ps, &pt, &policy);
-            let inline = generate_candidates(&pair.source, &pair.target, &ps, &pt, &policy);
-            assert_eq!(
-                inline, expect,
-                "inline CSR diverged (seed {seed}, {policy:?})"
-            );
+            let expect = reference::generate_candidates(&source, &target, &ps, &pt, &policy);
+            let inline = generate_candidates(&source, &target, &ps, &pt, &policy);
+            assert_eq!(inline, expect, "inline CSR diverged ({label}, {policy:?})");
             for threads in [1usize, 2, 8] {
                 let exec = Executor::new(threads);
-                let parallel = generate_candidates_exec(
-                    &pair.source,
-                    &pair.target,
-                    &ps,
-                    &pt,
-                    &policy,
-                    &exec,
-                    threads,
-                );
+                let parallel =
+                    generate_candidates_exec(&source, &target, &ps, &pt, &policy, &exec, threads);
                 assert_eq!(
                     parallel, expect,
-                    "CSR diverged at {threads} lanes (seed {seed}, {policy:?})"
+                    "CSR diverged at {threads} lanes ({label}, {policy:?})"
                 );
             }
         }

@@ -4,12 +4,17 @@
 //! scratch.
 
 use harmony_core::prelude::*;
-use harmony_core::prepare::{FeatureCache, PreparedSchema};
+use harmony_core::prepare::{
+    FeatureCache, PrepareLanes, PreparedSchema, PARALLEL_PREPARE_MIN_ELEMENTS,
+};
 use sm_enterprise::cluster::DistanceMatrix;
 use sm_enterprise::{MetadataRepository, SchemaSearch};
 use sm_schema::Schema;
 use sm_synth::{GeneratorConfig, RepositoryConfig, SchemaPair, SyntheticRepository};
+use sm_text::intern::{TokenArena, TokenId};
 use sm_text::normalize::Normalizer;
+use std::sync::Arc;
+use std::time::Duration;
 
 fn case_pair() -> SchemaPair {
     SchemaPair::generate(&GeneratorConfig::paper_case_study(11, 0.08))
@@ -184,4 +189,222 @@ fn incremental_session_reuses_engine_cache() {
         "session construction must not re-run linguistic preprocessing"
     );
     assert!(!session.validated().is_empty());
+}
+
+/// A case-study pair whose source is above the chunked-prepare threshold.
+fn large_pair() -> SchemaPair {
+    let pair = SchemaPair::generate(&GeneratorConfig::paper_case_study(11, 0.45));
+    assert!(pair.source.len() >= PARALLEL_PREPARE_MIN_ELEMENTS);
+    pair
+}
+
+fn lanes(exec: &Executor, width: usize) -> Option<PrepareLanes<'_>> {
+    Some(PrepareLanes {
+        exec,
+        parallelism: width,
+        budget: None,
+    })
+}
+
+/// Every feature of `got` resolves to the same strings as `want`'s, each
+/// through its own arena: sequences in the same order, id-sorted sets as
+/// the same sets.
+fn assert_same_strings(want: &PreparedSchema, got: &PreparedSchema, what: &str) {
+    let (wa, ga) = (want.arena(), got.arena());
+    let set = |arena: &TokenArena, ids: &[TokenId]| {
+        let mut strings = arena.resolve_all(ids);
+        strings.sort();
+        strings
+    };
+    assert_eq!(want.len(), got.len(), "{what}: element count");
+    assert_eq!(
+        wa.resolve_all(want.signature_ids()),
+        ga.resolve_all(got.signature_ids()),
+        "{what}: signature"
+    );
+    for (i, (w, g)) in want.elements().iter().zip(got.elements()).enumerate() {
+        assert_eq!(w.name_bag, g.name_bag, "{what}: element {i} name bag");
+        assert_eq!(w.raw_name, g.raw_name, "{what}: element {i} raw name");
+        assert_eq!(w.doc_bag, g.doc_bag, "{what}: element {i} doc bag");
+        assert_eq!(w.parent_bag, g.parent_bag, "{what}: element {i} parent bag");
+        assert_eq!(
+            w.children_bag, g.children_bag,
+            "{what}: element {i} children"
+        );
+        assert_eq!(
+            w.corpus_tokens, g.corpus_tokens,
+            "{what}: element {i} corpus"
+        );
+        assert_eq!(wa.resolve_all(&w.name_ids), ga.resolve_all(&g.name_ids));
+        assert_eq!(wa.resolve_all(&w.corpus_ids), ga.resolve_all(&g.corpus_ids));
+        assert_eq!(set(wa, &w.name_set), set(ga, &g.name_set));
+        assert_eq!(set(wa, &w.parent_set), set(ga, &g.parent_set));
+        assert_eq!(set(wa, &w.children_set), set(ga, &g.children_set));
+        assert_eq!(wa.resolve(w.raw_name_id), ga.resolve(g.raw_name_id));
+        assert_eq!(wa.resolve(w.acronym_id), ga.resolve(g.acronym_id));
+        assert_eq!(
+            wa.resolve_all(&w.block_features),
+            ga.resolve_all(&g.block_features),
+            "{what}: element {i} blocking features"
+        );
+        assert_eq!(
+            wa.resolve_all(want.block_features_of(i)),
+            ga.resolve_all(got.block_features_of(i))
+        );
+        assert_eq!(w.raw_chars, g.raw_chars);
+        assert_eq!(w.raw_soundex, g.raw_soundex);
+        assert_eq!(w.raw_profile, g.raw_profile);
+        assert_eq!(w.name_token_stats, g.name_token_stats);
+    }
+}
+
+/// Above the threshold, the chunked build at executor widths 1, 2 and 8
+/// prepares the same features as the inline build: the same strings on a
+/// fresh private arena (where concurrent chunks may assign ids in another
+/// order), and the very same ids and signatures on the inline build's warm
+/// arena.
+#[test]
+fn chunked_prepare_matches_inline_build_at_every_width() {
+    let pair = large_pair();
+    let normalizer = Normalizer::new();
+    let inline =
+        PreparedSchema::build_with_arena(&pair.source, &normalizer, Arc::new(TokenArena::new()));
+    for width in [1usize, 2, 8] {
+        let exec = Executor::new(width);
+        let cold = PreparedSchema::build_on(
+            &pair.source,
+            &normalizer,
+            Arc::new(TokenArena::new()),
+            lanes(&exec, width),
+        );
+        assert_same_strings(&inline, &cold, &format!("cold arena, {width} lanes"));
+
+        let warm = PreparedSchema::build_on(
+            &pair.source,
+            &normalizer,
+            Arc::clone(inline.arena()),
+            lanes(&exec, width),
+        );
+        assert_same_strings(&inline, &warm, &format!("warm arena, {width} lanes"));
+        assert_eq!(warm.signature_ids(), inline.signature_ids());
+        for (w, g) in inline.elements().iter().zip(warm.elements()) {
+            assert_eq!(
+                (&w.name_ids, &w.name_set, &w.parent_set, &w.children_set),
+                (&g.name_ids, &g.name_set, &g.parent_set, &g.children_set),
+            );
+            assert_eq!(
+                (
+                    &w.corpus_ids,
+                    &w.block_features,
+                    w.raw_name_id,
+                    w.acronym_id
+                ),
+                (
+                    &g.corpus_ids,
+                    &g.block_features,
+                    g.raw_name_id,
+                    g.acronym_id
+                ),
+            );
+            assert_eq!(
+                (w.name_sig, w.children_sig, w.corpus_sig),
+                (g.name_sig, g.children_sig, g.corpus_sig),
+            );
+        }
+    }
+}
+
+/// Blocked selections over chunk-prepared schemata, each width on its own
+/// fresh arena, equal the selections over inline-prepared ones.
+#[test]
+fn chunked_prepare_keeps_blocked_selections() {
+    let pair = large_pair();
+    let normalizer = Normalizer::new();
+    let engine = MatchEngine::new()
+        .with_normalizer(Normalizer::new())
+        .with_score_floor(Some(0.3));
+    let selection = Selection::OneToOne {
+        min: Confidence::new(0.3),
+    };
+    let select = |width: Option<usize>| {
+        let arena = Arc::new(TokenArena::new());
+        let exec = Executor::new(width.unwrap_or(1));
+        let par = width.and_then(|w| lanes(&exec, w));
+        let ps = PreparedSchema::build_on(&pair.source, &normalizer, Arc::clone(&arena), par);
+        let pt = PreparedSchema::build_on(&pair.target, &normalizer, arena, par);
+        let run = engine.pipeline().run_blocked_prepared(
+            &pair.source,
+            &pair.target,
+            &Arc::new(ps),
+            &Arc::new(pt),
+            None,
+            &BlockingPolicy::default(),
+        );
+        selection.apply(&run.matrix)
+    };
+    let want = select(None);
+    assert!(!want.all().is_empty());
+    for width in [1usize, 2, 8] {
+        assert_eq!(
+            select(Some(width)).all(),
+            want.all(),
+            "selections diverged at {width} prepare lanes"
+        );
+    }
+}
+
+/// A chunked build and racing `get_or_prepare` callers share one 2-wide
+/// pool: the engine's build fans its chunks out onto the pool while the
+/// waiters, some of them running as pool lanes, block on the in-flight
+/// slot. The builder's own lane completes the claim loop, so nothing
+/// deadlocks and the schema is still prepared exactly once.
+#[test]
+fn chunked_build_and_racing_waiter_share_a_two_wide_pool() {
+    let pair = large_pair();
+    let exec = Arc::new(Executor::new(2));
+    let cache = Arc::new(FeatureCache::new(Normalizer::new()));
+    let engine = Arc::new(
+        MatchEngine::new()
+            .with_feature_cache(Arc::clone(&cache))
+            .with_executor(Arc::clone(&exec))
+            .with_threads(2),
+    );
+    let source = Arc::new(pair.source);
+    let (tx, rx) = std::sync::mpsc::channel();
+    let mut handles = Vec::new();
+    {
+        let (engine, source, tx) = (Arc::clone(&engine), Arc::clone(&source), tx.clone());
+        handles.push(std::thread::spawn(move || {
+            tx.send(engine.prepare(&source)).unwrap();
+        }));
+    }
+    for _ in 0..2 {
+        let (exec, cache, source, tx) = (
+            Arc::clone(&exec),
+            Arc::clone(&cache),
+            Arc::clone(&source),
+            tx.clone(),
+        );
+        handles.push(std::thread::spawn(move || {
+            for prepared in exec.run_map(2, &[(), ()], |_, _| cache.get_or_prepare(&source)) {
+                tx.send(prepared).unwrap();
+            }
+        }));
+    }
+    let got: Vec<Arc<PreparedSchema>> = (0..5)
+        .map(|_| {
+            rx.recv_timeout(Duration::from_secs(120))
+                .expect("chunked build and waiters deadlocked")
+        })
+        .collect();
+    for h in handles {
+        h.join().expect("prepare thread panicked");
+    }
+    for p in &got[1..] {
+        assert!(
+            Arc::ptr_eq(&got[0], p),
+            "callers must share one preparation"
+        );
+    }
+    assert_eq!(cache.stats().misses, 1, "the schema was prepared once");
 }
