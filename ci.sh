@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate. Run from anywhere; everything executes at the
 # workspace root. Mirrors what reviewers run: release build, quiet tests,
-# clippy as errors, rustfmt as errors, and checked-in bench JSON that parses.
+# clippy as errors, rustfmt as errors, rustdoc links as errors, and
+# checked-in bench JSON that parses.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -16,6 +17,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
+
+echo "==> cargo doc (intra-doc links must resolve)"
+# A doc link to a renamed or deleted item fails here instead of rendering
+# as plain text.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
+    cargo doc --workspace --no-deps --document-private-items
 
 echo "==> BENCH_*.json schema check (keys must parse)"
 for f in BENCH_*.json; do

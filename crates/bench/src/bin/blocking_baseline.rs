@@ -1,7 +1,8 @@
 //! Regenerate `BENCH_blocking.json`: dense vs blocked matching at the
 //! paper's 1378×784 scale, and repository search latency at registry scale.
 //!
-//! Part A times the dense `MatchEngine::run` against the blocked
+//! Part A times the full `MatchEngine::run` (the exhaustive policy, called
+//! "dense" in the report) against the blocked
 //! `MatchEngine::run_blocked` (default [`BlockingPolicy`]) at equal thread
 //! count and reports stage timings, the scored-pair fraction, and recall of
 //! the blocked run against the dense run's above-threshold pairs and the
@@ -383,7 +384,7 @@ fn main() {
     let policy = BlockingPolicy::default();
 
     const REPS: usize = 5;
-    let mut dense_runs: Vec<MatchResult> = (0..REPS)
+    let mut dense_runs: Vec<BlockedMatchResult> = (0..REPS)
         .map(|_| engine.run(&pair.source, &pair.target))
         .collect();
     dense_runs.sort_by_key(|r| r.elapsed);
@@ -535,7 +536,7 @@ fn main() {
         latency_ratio < size_ratio
     );
 
-    // Hand-rolled JSON (the offline serde stand-in has no serializer).
+    // Hand-rolled JSON (the workspace has no serialization dependency).
     let search_json: Vec<String> = points
         .iter()
         .map(|p| {

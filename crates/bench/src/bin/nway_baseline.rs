@@ -629,7 +629,7 @@ fn main() {
         n100.addone_over_replan,
     );
 
-    // Hand-rolled JSON (the offline serde stand-in has no serializer).
+    // Hand-rolled JSON (the workspace has no serialization dependency).
     let json = format!(
         "{{\n  \"threads\": {threads},\n  \"threshold\": {THRESHOLD},\n  \"reps\": {REPS},\n  \
          {five},\n  {twelve},\n  {n100_block}\n}}\n",

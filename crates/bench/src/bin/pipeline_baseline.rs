@@ -394,7 +394,7 @@ fn main() {
         println!("  {n} thread(s): block {secs:.4}s");
     }
 
-    // Hand-rolled JSON (the offline serde stand-in has no serializer).
+    // Hand-rolled JSON (the workspace has no serialization dependency).
     let json = format!(
         "{{\n  \"scale\": {{\"rows\": {rows}, \"cols\": {cols}, \"pairs\": {pairs}}},\n  \
          \"prepare_secs\": {{\n    \"cold_features\": {cold_features:.6},\n    \

@@ -396,7 +396,8 @@ impl<'e> BatchPlanner<'e> {
     }
 
     /// Use a specific blocking policy for every pair of the batch
-    /// ([`BlockingPolicy::Exhaustive`] reproduces dense runs byte for byte).
+    /// ([`BlockingPolicy::Exhaustive`] reproduces [`MatchEngine::run`] byte
+    /// for byte).
     pub fn with_policy(mut self, policy: BlockingPolicy) -> Self {
         self.policy = policy;
         self
@@ -729,9 +730,6 @@ impl MatchBatch<'_, '_> {
         );
         let mut timings = StageTimings {
             plan: self.plan,
-            plan_estimate: self.breakdown.estimate,
-            plan_cluster: self.breakdown.cluster,
-            plan_schedule: self.breakdown.schedule,
             ..StageTimings::default()
         };
         for p in &pairs {
@@ -790,22 +788,12 @@ impl MatchBatch<'_, '_> {
                     left,
                     right,
                     selected,
-                    result: BlockedMatchResult {
-                        matrix: run.matrix,
-                        elapsed: pair_started.elapsed(),
-                        pairs_considered: run.pairs_considered,
-                        pairs_scored: run.pairs_scored,
-                        candidates: run.candidates,
-                        timings: run.timings,
-                    },
+                    result: BlockedMatchResult::from_run(run, pair_started),
                 }
             },
         );
         let mut timings = StageTimings {
             plan: self.plan,
-            plan_estimate: self.breakdown.estimate,
-            plan_cluster: self.breakdown.cluster,
-            plan_schedule: self.breakdown.schedule,
             ..StageTimings::default()
         };
         for p in &pairs {
@@ -1227,9 +1215,6 @@ mod tests {
         assert!(breakdown.estimate > Duration::ZERO);
         assert_eq!(breakdown.cluster, Duration::ZERO);
         assert!(pruned.plan_time() >= breakdown.estimate + breakdown.schedule);
-        let timings = pruned.run().timings;
-        assert_eq!(timings.plan_estimate, breakdown.estimate);
-        assert_eq!(timings.plan_schedule, breakdown.schedule);
     }
 
     #[test]

@@ -17,11 +17,10 @@
 //! trust the documentation voter on richly documented elements and ignore it
 //! on bare ones.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A voter's confidence in one candidate correspondence, in `(−1, +1)`.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Confidence(f64);
 
 impl Confidence {

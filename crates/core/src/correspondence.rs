@@ -8,12 +8,11 @@
 //! "by status, team member assigned to investigate it, etc.", §4.3).
 
 use crate::confidence::Confidence;
-use serde::{Deserialize, Serialize};
 use sm_schema::ElementId;
 use std::collections::{HashMap, HashSet};
 
 /// Review status of a correspondence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MatchStatus {
     /// Produced by the engine, not yet reviewed.
     Candidate,
@@ -24,7 +23,7 @@ pub enum MatchStatus {
 }
 
 /// Semantic annotation of a validated correspondence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MatchAnnotation {
     /// The elements denote the same concept.
     Equivalent,
@@ -37,7 +36,7 @@ pub enum MatchAnnotation {
 }
 
 /// One link between a source and a target element.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Correspondence {
     /// Source element.
     pub source: ElementId,
@@ -86,7 +85,7 @@ impl Correspondence {
 }
 
 /// A set of correspondences between one source and one target schema.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MatchSet {
     correspondences: Vec<Correspondence>,
 }

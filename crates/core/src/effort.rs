@@ -8,10 +8,8 @@
 //! workflow that inspected confidence-filtered candidates out of ~10^6
 //! scored pairs across 191 concepts.
 
-use serde::{Deserialize, Serialize};
-
 /// Cost model of an interactive matching effort.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EffortModel {
     /// Seconds for an engineer to judge one shown candidate pair.
     pub secs_per_inspection: f64,
@@ -41,7 +39,7 @@ impl Default for EffortModel {
 }
 
 /// Workload description for an estimate.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Workload {
     /// Candidates shown to reviewers (post confidence filter).
     pub inspections: usize,
@@ -54,7 +52,7 @@ pub struct Workload {
 }
 
 /// Result of an effort estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EffortEstimate {
     /// Total person-seconds.
     pub person_secs: f64,

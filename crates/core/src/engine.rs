@@ -4,8 +4,10 @@
 //! Harmony to perform matches of this size, and the fully automated match
 //! executed in 10.2 seconds" for 1378×784 ≈ 1.08·10^6 pairs (§3.3). The
 //! actual execution lives in [`crate::pipeline::MatchPipeline`], which stages
-//! the run as `Prepare → Score → Merge → Propagate → Select` and shards rows
-//! across scoped threads with chunked work-stealing. Linguistic
+//! the run as `Prepare → Block → Score → Merge → Propagate → Select` and
+//! shards candidate rows across the engine's persistent
+//! [`crate::exec::Executor`] with chunked work-stealing. The full match is
+//! the blocked pipeline under [`BlockingPolicy::Exhaustive`]. Linguistic
 //! preprocessing is served by the engine's [`FeatureCache`], so repeated
 //! matching against the same schemata (incremental sessions, n-way efforts,
 //! repository search) amortizes the Prepare stage across runs.
@@ -17,7 +19,7 @@ use crate::exec::Executor;
 use crate::index::{BlockingPolicy, CandidateSet};
 use crate::matrix::MatchMatrix;
 use crate::merger::MergeStrategy;
-use crate::pipeline::{MatchPipeline, StageTimings};
+use crate::pipeline::{BlockedRun, MatchPipeline, StageTimings};
 use crate::prepare::{FeatureCache, PrepareLanes, PreparedSchema};
 use crate::voter::{default_voters, MatchVoter};
 use sm_schema::{ElementId, Schema};
@@ -321,7 +323,7 @@ impl MatchEngine {
         target: &Schema,
         source_instances: &sm_schema::InstanceData,
         target_instances: &sm_schema::InstanceData,
-    ) -> MatchResult {
+    ) -> BlockedMatchResult {
         let started = Instant::now();
         let prepared_source = self.prepare(source);
         let prepared_target = self.prepare(target);
@@ -333,17 +335,15 @@ impl MatchEngine {
             source_instances,
             target_instances,
         );
-        let timings = StageTimings {
-            prepare: started.elapsed(),
-            ..StageTimings::default()
-        };
-        let run = self.pipeline().run_on_context(&ctx, timings);
-        MatchResult {
-            pairs_considered: run.pairs_considered,
-            matrix: run.matrix,
-            elapsed: started.elapsed(),
-            timings: run.timings,
-        }
+        let run = self.pipeline().run_context(
+            &ctx,
+            &prepared_source,
+            &prepared_target,
+            None,
+            &BlockingPolicy::Exhaustive,
+            started.elapsed(),
+        );
+        BlockedMatchResult::from_run(run, started)
     }
 
     /// Score one pair under the configured panel and merger.
@@ -366,24 +366,17 @@ impl MatchEngine {
     }
 
     /// The full automated match: every source element against every target
-    /// element. This is the paper's `MATCH(S1, S2)` operator, executed as the
-    /// staged pipeline.
-    pub fn run(&self, source: &Schema, target: &Schema) -> MatchResult {
-        let started = Instant::now();
-        let run = self.pipeline().run(source, target);
-        MatchResult {
-            pairs_considered: run.pairs_considered,
-            matrix: run.matrix,
-            elapsed: started.elapsed(),
-            timings: run.timings,
-        }
+    /// element. This is the paper's `MATCH(S1, S2)` operator: the blocked
+    /// pipeline under [`BlockingPolicy::Exhaustive`].
+    pub fn run(&self, source: &Schema, target: &Schema) -> BlockedMatchResult {
+        self.run_blocked(source, target, &BlockingPolicy::Exhaustive)
     }
 
     /// The blocked match: candidate pairs are generated from the token-
     /// blocking index under `policy` and only those are scored (see
-    /// [`crate::index`]). With [`BlockingPolicy::Exhaustive`] the result is
-    /// byte-identical to [`Self::run`]; with the default policy it scores a
-    /// few percent of the cross product at paper scale.
+    /// [`crate::index`]). [`BlockingPolicy::Exhaustive`] scores the whole
+    /// cross product ([`Self::run`]); the default policy scores a few
+    /// percent of it at paper scale.
     pub fn run_blocked(
         &self,
         source: &Schema,
@@ -392,14 +385,7 @@ impl MatchEngine {
     ) -> BlockedMatchResult {
         let started = Instant::now();
         let run = self.pipeline().run_blocked(source, target, policy);
-        BlockedMatchResult {
-            matrix: run.matrix,
-            elapsed: started.elapsed(),
-            pairs_considered: run.pairs_considered,
-            pairs_scored: run.pairs_scored,
-            candidates: run.candidates,
-            timings: run.timings,
-        }
+        BlockedMatchResult::from_run(run, started)
     }
 
     /// Restricted match over explicit candidate id lists (the sub-tree /
@@ -463,19 +449,7 @@ impl Default for MatchEngine {
     }
 }
 
-/// Result of a full `MATCH(S1, S2)` run.
-pub struct MatchResult {
-    /// The dense score matrix.
-    pub matrix: MatchMatrix,
-    /// Wall-clock time of the run (context build + scoring).
-    pub elapsed: Duration,
-    /// Number of candidate pairs scored (`|S1| · |S2|`).
-    pub pairs_considered: usize,
-    /// Per-stage wall-clock breakdown of the pipeline.
-    pub timings: StageTimings,
-}
-
-/// Result of a blocked `MATCH(S1, S2)` run.
+/// Result of a `MATCH(S1, S2)` run (full or blocked).
 #[derive(Debug)]
 pub struct BlockedMatchResult {
     /// The score matrix; pairs pruned by blocking hold the neutral `0.0`.
@@ -484,12 +458,26 @@ pub struct BlockedMatchResult {
     pub elapsed: Duration,
     /// Size of the full cross product (`|S1| · |S2|`).
     pub pairs_considered: usize,
-    /// Candidate pairs actually scored.
+    /// Candidate pairs actually scored (all of them on a full run).
     pub pairs_scored: usize,
     /// The candidate set that was scored.
     pub candidates: CandidateSet,
     /// Per-stage wall-clock breakdown (including the Block stage).
     pub timings: StageTimings,
+}
+
+impl BlockedMatchResult {
+    /// A pipeline run, with its wall-clock time measured from `started`.
+    pub(crate) fn from_run(run: BlockedRun, started: Instant) -> Self {
+        BlockedMatchResult {
+            matrix: run.matrix,
+            elapsed: started.elapsed(),
+            pairs_considered: run.pairs_considered,
+            pairs_scored: run.pairs_scored,
+            candidates: run.candidates,
+            timings: run.timings,
+        }
+    }
 }
 
 /// Result of a restricted (incremental) match.

@@ -1,6 +1,6 @@
 //! Token-blocking index: sparse candidate generation for the match pipeline.
 //!
-//! The dense pipeline scores every `|S1| × |S2|` pair — ~10^6 voter-panel
+//! The full match scores every `|S1| × |S2|` pair — ~10^6 voter-panel
 //! invocations at the paper's 1378×784 scale, 98%+ of the hot path's wall
 //! clock. But true correspondences almost always share *some* cheap lexical
 //! evidence: a normalized name token, a documentation token, a phonetic
@@ -31,15 +31,16 @@
 //! per-feature functions of `(n, df)` only, so precomputation changes no
 //! bit of any accumulated overlap: each probe row still adds the exact same
 //! `f64` values in the exact same feature order as the historical map-keyed
-//! implementation (retained, verbatim, in [`reference`] and pinned against
+//! implementation (retained, verbatim, in [`mod@reference`] and pinned against
 //! this module in `tests/csr_index_pin.rs`).
 //!
 //! # Parallelism
 //!
 //! Index build and probing both run on the persistent
-//! [`crate::exec::Executor`] when the caller provides one
-//! ([`generate_candidates_exec`] / [`ElementTokenIndex::build_parallel`];
-//! the plain entry points run the same code inline). Build fans element
+//! [`crate::exec::Executor`] ([`generate_candidates_governed`] /
+//! [`ElementTokenIndex::build_parallel`]; the serial
+//! [`generate_candidates`] and [`ElementTokenIndex::build`] run the same
+//! code inline). Build fans element
 //! chunks out to lanes and merges their `(feature, element)` pair lists in
 //! deterministic chunk order; probing fans chunks of *both* directions out
 //! through one shared claim queue, so the source→target and target→source
@@ -148,8 +149,8 @@ pub enum BlockingPolicy {
         /// Minimum overlap weight for a pair to become a candidate.
         min_weight: f64,
     },
-    /// Every pair is a candidate — the fallback that makes `run_blocked`
-    /// reproduce the dense pipeline byte for byte.
+    /// Every pair is a candidate: the full match,
+    /// [`crate::engine::MatchEngine::run`].
     Exhaustive,
 }
 
@@ -158,7 +159,7 @@ impl Default for BlockingPolicy {
     /// beyond the cap only on a genuinely rare feature collision (smoothed
     /// IDF weight 6 ≈ one feature shared by < 1% of elements; ubiquitous
     /// boilerplate tokens weigh ≈ 1 each and never add up to it). Tuned on
-    /// the synthetic paper-scale workload: 100% of dense above-threshold
+    /// the synthetic paper-scale workload: 100% of full-match above-threshold
     /// pairs survive while a few percent of the cross product is scored.
     fn default() -> Self {
         BlockingPolicy::TopK {
@@ -182,7 +183,7 @@ pub struct CandidateSet {
 
 impl CandidateSet {
     /// Build from per-row candidate lists (each list must be sorted and
-    /// deduplicated). Used by the [`reference`] implementation and tests;
+    /// deduplicated). Used by the [`mod@reference`] implementation and tests;
     /// the CSR path writes its rows straight into the flat layout instead.
     pub(crate) fn from_rows(rows_lists: Vec<Vec<u32>>, cols: usize) -> Self {
         let rows = rows_lists.len();
@@ -671,7 +672,7 @@ impl ProbeScratch {
 /// Probe one element's features against `index`, applying `policy` into
 /// `scratch.kept`. The accumulation order (features in prepared order,
 /// postings ascending) and every policy decision are exactly the historical
-/// [`reference`] implementation's; only the per-feature weight lookup moved
+/// [`mod@reference`] implementation's; only the per-feature weight lookup moved
 /// from a recomputed `ln` to the precomputed table.
 fn probe_element(
     feats: &[TokenId],
@@ -770,7 +771,8 @@ fn probe_sides(
     source_index: &ElementTokenIndex,
     target_index: &ElementTokenIndex,
     policy: &BlockingPolicy,
-    par: Option<(&Executor, usize)>,
+    exec: &Executor,
+    parallelism: usize,
     gov: GovernedExec<'_>,
 ) -> (ProbeRows, ProbeRows, Vec<(u32, u32, f64)>) {
     let rows = prepared_source.len();
@@ -834,43 +836,40 @@ fn probe_sides(
         out
     };
 
-    let outs: Vec<ChunkOut> = match par {
-        Some((exec, parallelism)) if parallelism > 1 && descs.len() > 1 => {
-            let done: Mutex<Vec<(usize, ChunkOut)>> = Mutex::new(Vec::with_capacity(descs.len()));
-            let queue = Mutex::new(descs.iter().enumerate());
-            exec.run_lanes_budgeted(parallelism.min(descs.len()), gov.budget, |_| {
-                let mut scratch = ProbeScratch::new(rows.max(cols));
-                loop {
-                    let claimed = queue.lock().expect("probe queue poisoned").next();
-                    let Some((index, desc)) = claimed else { break };
-                    // Cancellation point (queue lock released, chunk not
-                    // yet probed).
-                    if let Some(token) = gov.token {
-                        token.checkpoint();
-                    }
-                    let out = run_chunk(desc, &mut scratch);
-                    done.lock()
-                        .expect("probe results poisoned")
-                        .push((index, out));
-                }
-                scratch.flush_probe_counters();
-            });
-            let mut done = done.into_inner().expect("probe results poisoned");
-            done.sort_unstable_by_key(|&(index, _)| index);
-            done.into_iter().map(|(_, out)| out).collect()
-        }
-        _ => {
+    let outs: Vec<ChunkOut> = if parallelism > 1 && descs.len() > 1 {
+        let done: Mutex<Vec<(usize, ChunkOut)>> = Mutex::new(Vec::with_capacity(descs.len()));
+        let queue = Mutex::new(descs.iter().enumerate());
+        exec.run_lanes_budgeted(parallelism.min(descs.len()), gov.budget, |_| {
             let mut scratch = ProbeScratch::new(rows.max(cols));
-            let mut outs = Vec::with_capacity(descs.len());
-            for desc in &descs {
+            loop {
+                let claimed = queue.lock().expect("probe queue poisoned").next();
+                let Some((index, desc)) = claimed else { break };
+                // Cancellation point (queue lock released, chunk not
+                // yet probed).
                 if let Some(token) = gov.token {
                     token.checkpoint();
                 }
-                outs.push(run_chunk(desc, &mut scratch));
+                let out = run_chunk(desc, &mut scratch);
+                done.lock()
+                    .expect("probe results poisoned")
+                    .push((index, out));
             }
             scratch.flush_probe_counters();
-            outs
+        });
+        let mut done = done.into_inner().expect("probe results poisoned");
+        done.sort_unstable_by_key(|&(index, _)| index);
+        done.into_iter().map(|(_, out)| out).collect()
+    } else {
+        let mut scratch = ProbeScratch::new(rows.max(cols));
+        let mut outs = Vec::with_capacity(descs.len());
+        for desc in &descs {
+            if let Some(token) = gov.token {
+                token.checkpoint();
+            }
+            outs.push(run_chunk(desc, &mut scratch));
         }
+        scratch.flush_probe_counters();
+        outs
     };
 
     // Stitch per direction, in chunk (= element) order.
@@ -916,6 +915,20 @@ const CHILD_RESCUE_WEIGHT: f64 = 5.0;
 /// the number of containers instead of quadratic.
 const CHILD_RESCUE_PARTNERS: usize = 3;
 
+/// Append the sorted union of two ascending slices to `out` (an entry in
+/// both is written once).
+fn union_sorted(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        out.push(x.min(y));
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+}
+
 /// Generate the candidate pair set for matching `source` against `target`
 /// under `policy`, inline on the calling thread (index builds included).
 ///
@@ -931,7 +944,7 @@ const CHILD_RESCUE_PARTNERS: usize = 3;
 ///   join on the interned token sequences recovers exactly those pairs at
 ///   `O((rows + cols) log keys + collisions)` cost;
 /// * **child rescue** — a candidate pair of containers whose overlap weight
-///   reaches [`CHILD_RESCUE_WEIGHT`] adds its children's cross product, so
+///   reaches `CHILD_RESCUE_WEIGHT` adds its children's cross product, so
 ///   pairs that only clear the operating threshold through their parents'
 ///   propagation blend are still scored;
 /// * **parent closure** (transitive) — for every candidate `(s, t)` whose
@@ -944,248 +957,85 @@ pub fn generate_candidates(
     prepared_target: &PreparedSchema,
     policy: &BlockingPolicy,
 ) -> CandidateSet {
-    generate_candidates_opt(
+    // One lane never touches the pool: every stage takes its inline path.
+    generate_candidates_governed(
         source,
         target,
         prepared_source,
         prepared_target,
-        policy,
         None,
+        policy,
+        Executor::global(),
+        1,
         GovernedExec::default(),
     )
 }
 
 /// [`generate_candidates`] with index builds and probes fanned out across
 /// up to `parallelism` lanes of `exec` — the pipeline's entry point.
-pub fn generate_candidates_exec(
-    source: &Schema,
-    target: &Schema,
-    prepared_source: &PreparedSchema,
-    prepared_target: &PreparedSchema,
-    policy: &BlockingPolicy,
-    exec: &Executor,
-    parallelism: usize,
-) -> CandidateSet {
-    generate_candidates_governed(
-        source,
-        target,
-        prepared_source,
-        prepared_target,
-        policy,
-        exec,
-        parallelism,
-        GovernedExec::default(),
-    )
-}
-
-/// [`generate_candidates_exec`] under serving-layer controls: helper lanes
-/// drawn from `gov.budget`, cancellation checked at chunk boundaries
-/// against `gov.token`. With both `None` this is byte-identical to the
-/// ungoverned path.
+///
+/// `indices` are pre-built per-schema token indices, as the batch planner
+/// passes them (it indexes each of a batch's N schemata once instead of
+/// once per pair per direction); they must be built over exactly
+/// `prepared_source` / `prepared_target`. With `None` both indices are
+/// built here. Index construction is deterministic per schema, so the
+/// result is bit-for-bit the same either way, at every lane count.
+///
+/// `gov` applies serving-layer controls: helper lanes drawn from
+/// `gov.budget`, cancellation checked at chunk boundaries against
+/// `gov.token`. [`GovernedExec::default`] is the unbudgeted,
+/// uncancellable run; no control changes the result.
 #[allow(clippy::too_many_arguments)]
 pub fn generate_candidates_governed(
     source: &Schema,
     target: &Schema,
     prepared_source: &PreparedSchema,
     prepared_target: &PreparedSchema,
+    indices: Option<(&ElementTokenIndex, &ElementTokenIndex)>,
     policy: &BlockingPolicy,
     exec: &Executor,
     parallelism: usize,
-    gov: GovernedExec<'_>,
-) -> CandidateSet {
-    generate_candidates_opt(
-        source,
-        target,
-        prepared_source,
-        prepared_target,
-        policy,
-        Some((exec, parallelism)),
-        gov,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn generate_candidates_opt(
-    source: &Schema,
-    target: &Schema,
-    prepared_source: &PreparedSchema,
-    prepared_target: &PreparedSchema,
-    policy: &BlockingPolicy,
-    par: Option<(&Executor, usize)>,
-    gov: GovernedExec<'_>,
-) -> CandidateSet {
-    let rows = prepared_source.len();
-    let cols = prepared_target.len();
-    if rows == 0 || cols == 0 {
-        return CandidateSet::empty(rows, cols);
-    }
-    if matches!(policy, BlockingPolicy::Exhaustive) {
-        return CandidateSet::exhaustive(rows, cols);
-    }
-    // Per-pair index builds; a batch amortizes them via
-    // [`generate_candidates_with`] instead.
-    if let Some(token) = gov.token {
-        token.checkpoint();
-    }
-    let (source_index, target_index) = match par {
-        Some((exec, parallelism)) => (
-            ElementTokenIndex::build_parallel(prepared_source, exec, parallelism),
-            ElementTokenIndex::build_parallel(prepared_target, exec, parallelism),
-        ),
-        None => (
-            ElementTokenIndex::build(prepared_source),
-            ElementTokenIndex::build(prepared_target),
-        ),
-    };
-    generate_candidates_with_opt(
-        source,
-        target,
-        prepared_source,
-        prepared_target,
-        &source_index,
-        &target_index,
-        policy,
-        par,
-        gov,
-    )
-}
-
-/// [`generate_candidates`] against pre-built per-schema token indices — the
-/// batch planner's entry point, which indexes each of a batch's N schemata
-/// once instead of once per pair per direction.
-///
-/// `source_index` / `target_index` must be built over exactly
-/// `prepared_source` / `prepared_target`; the result is then bit-for-bit the
-/// set [`generate_candidates`] produces (index construction is deterministic
-/// per schema, so sharing one build across pairs changes nothing).
-#[allow(clippy::too_many_arguments)]
-pub fn generate_candidates_with(
-    source: &Schema,
-    target: &Schema,
-    prepared_source: &PreparedSchema,
-    prepared_target: &PreparedSchema,
-    source_index: &ElementTokenIndex,
-    target_index: &ElementTokenIndex,
-    policy: &BlockingPolicy,
-) -> CandidateSet {
-    generate_candidates_with_opt(
-        source,
-        target,
-        prepared_source,
-        prepared_target,
-        source_index,
-        target_index,
-        policy,
-        None,
-        GovernedExec::default(),
-    )
-}
-
-/// [`generate_candidates_with`] with the two probe directions running as
-/// concurrent lanes on `exec` (each direction further chunked; see
-/// [`probe_sides`]).
-#[allow(clippy::too_many_arguments)]
-pub fn generate_candidates_with_exec(
-    source: &Schema,
-    target: &Schema,
-    prepared_source: &PreparedSchema,
-    prepared_target: &PreparedSchema,
-    source_index: &ElementTokenIndex,
-    target_index: &ElementTokenIndex,
-    policy: &BlockingPolicy,
-    exec: &Executor,
-    parallelism: usize,
-) -> CandidateSet {
-    generate_candidates_with_governed(
-        source,
-        target,
-        prepared_source,
-        prepared_target,
-        source_index,
-        target_index,
-        policy,
-        exec,
-        parallelism,
-        GovernedExec::default(),
-    )
-}
-
-/// [`generate_candidates_with_exec`] under serving-layer controls (see
-/// [`GovernedExec`]).
-#[allow(clippy::too_many_arguments)]
-pub fn generate_candidates_with_governed(
-    source: &Schema,
-    target: &Schema,
-    prepared_source: &PreparedSchema,
-    prepared_target: &PreparedSchema,
-    source_index: &ElementTokenIndex,
-    target_index: &ElementTokenIndex,
-    policy: &BlockingPolicy,
-    exec: &Executor,
-    parallelism: usize,
-    gov: GovernedExec<'_>,
-) -> CandidateSet {
-    generate_candidates_with_opt(
-        source,
-        target,
-        prepared_source,
-        prepared_target,
-        source_index,
-        target_index,
-        policy,
-        Some((exec, parallelism)),
-        gov,
-    )
-}
-
-/// Append the sorted union of two ascending slices to `out` (an entry in
-/// both is written once).
-fn union_sorted(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        let (x, y) = (a[i], b[j]);
-        out.push(x.min(y));
-        i += usize::from(x <= y);
-        j += usize::from(y <= x);
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn generate_candidates_with_opt(
-    source: &Schema,
-    target: &Schema,
-    prepared_source: &PreparedSchema,
-    prepared_target: &PreparedSchema,
-    source_index: &ElementTokenIndex,
-    target_index: &ElementTokenIndex,
-    policy: &BlockingPolicy,
-    par: Option<(&Executor, usize)>,
     gov: GovernedExec<'_>,
 ) -> CandidateSet {
     let rows = prepared_source.len();
     let cols = prepared_target.len();
     debug_assert_eq!(rows, source.len());
     debug_assert_eq!(cols, target.len());
-    // Hard checks (cheap next to the probe): a stale or swapped index would
-    // otherwise produce a plausible-but-wrong candidate set in release.
-    assert_eq!(
-        source_index.len(),
-        rows,
-        "source index does not match the prepared source schema"
-    );
-    assert_eq!(
-        target_index.len(),
-        cols,
-        "target index does not match the prepared target schema"
-    );
+    if let Some((source_index, target_index)) = indices {
+        // Hard checks (cheap next to the probe): a stale or swapped index
+        // would otherwise produce a plausible-but-wrong candidate set in
+        // release.
+        assert_eq!(
+            source_index.len(),
+            rows,
+            "source index does not match the prepared source schema"
+        );
+        assert_eq!(
+            target_index.len(),
+            cols,
+            "target index does not match the prepared target schema"
+        );
+    }
     if rows == 0 || cols == 0 {
         return CandidateSet::empty(rows, cols);
     }
     if matches!(policy, BlockingPolicy::Exhaustive) {
         return CandidateSet::exhaustive(rows, cols);
     }
+    let built;
+    let (source_index, target_index) = match indices {
+        Some(indices) => indices,
+        None => {
+            if let Some(token) = gov.token {
+                token.checkpoint();
+            }
+            built = (
+                ElementTokenIndex::build_parallel(prepared_source, exec, parallelism),
+                ElementTokenIndex::build_parallel(prepared_target, exec, parallelism),
+            );
+            (&built.0, &built.1)
+        }
+    };
 
     // Both probe directions (concurrent lanes under an executor). Features
     // come pre-interned from the preparations, so probing allocates no
@@ -1198,7 +1048,8 @@ fn generate_candidates_with_opt(
         source_index,
         target_index,
         policy,
-        par,
+        exec,
+        parallelism,
         gov,
     );
 
@@ -1937,7 +1788,17 @@ mod tests {
             let expect = reference::generate_candidates(&a, &b, &pa, &pb, &policy);
             let inline = generate_candidates(&a, &b, &pa, &pb, &policy);
             assert_eq!(inline, expect, "inline CSR diverged under {policy:?}");
-            let parallel = generate_candidates_exec(&a, &b, &pa, &pb, &policy, &exec, 3);
+            let parallel = generate_candidates_governed(
+                &a,
+                &b,
+                &pa,
+                &pb,
+                None,
+                &policy,
+                &exec,
+                3,
+                GovernedExec::default(),
+            );
             assert_eq!(parallel, expect, "parallel CSR diverged under {policy:?}");
         }
     }

@@ -76,7 +76,7 @@ pub mod prelude {
     pub use crate::confidence::Confidence;
     pub use crate::correspondence::{Correspondence, MatchAnnotation, MatchSet, MatchStatus};
     pub use crate::effort::{EffortEstimate, EffortModel, Workload};
-    pub use crate::engine::{detect_threads, BlockedMatchResult, MatchEngine, MatchResult};
+    pub use crate::engine::{detect_threads, BlockedMatchResult, MatchEngine};
     pub use crate::exec::{ExecStats, Executor};
     pub use crate::filter::{LinkFilter, NodeFilter};
     pub use crate::index::{BlockingPolicy, CandidateSet, ElementTokenIndex};
@@ -85,7 +85,7 @@ pub mod prelude {
     pub use crate::nway::{NWayMatch, NWayPopulation, PairwiseOutcome, Vocabulary, VocabularyTerm};
     pub use crate::obs::{ObsConfig, SpanKind, TraceReport};
     pub use crate::partition::{BinaryPartition, SubsumptionAdvice};
-    pub use crate::pipeline::{BlockedRun, MatchPipeline, PipelineRun, StageTimings};
+    pub use crate::pipeline::{BlockedRun, MatchPipeline, StageTimings};
     pub use crate::prepare::{FeatureCache, PreparedSchema};
     pub use crate::select::Selection;
     pub use crate::serve::{

@@ -8,10 +8,9 @@
 //! the ablation experiment (F5 in DESIGN.md).
 
 use crate::confidence::Confidence;
-use serde::{Deserialize, Serialize};
 
 /// How per-voter confidences are combined into one match score.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum MergeStrategy {
     /// Harmony's scheme: a weighted mean where each vote's weight is its own
     /// commitment |c|. Confident voters (much evidence, decisive ratio)

@@ -13,7 +13,7 @@
 //! touches is the term's *signature*; grouping terms by signature yields the
 //! 2^N − 1 partition cells.
 
-use crate::batch::{prepare_schemas, PlanPolicy};
+use crate::batch::{prepare_schemas, PlanBreakdown, PlanPolicy};
 use crate::confidence::Confidence;
 use crate::correspondence::{MatchAnnotation, MatchSet};
 use crate::engine::MatchEngine;
@@ -21,7 +21,6 @@ use crate::index::{idf_weight, BlockingPolicy, ElementTokenIndex};
 use crate::pipeline::StageTimings;
 use crate::prepare::PreparedSchema;
 use crate::select::Selection;
-use serde::{Deserialize, Serialize};
 use sm_schema::{ElementId, Schema, SchemaId};
 use sm_text::intern::TokenId;
 use std::collections::HashMap;
@@ -30,7 +29,7 @@ use std::time::Instant;
 
 /// A node in the N-way union-find: element `element` of schema index
 /// `schema_idx` (index into the [`NWayMatch`]'s schema list).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GlobalElement {
     /// Index of the owning schema within the N-way match.
     pub schema_idx: usize,
@@ -40,7 +39,7 @@ pub struct GlobalElement {
 
 /// One term of the comprehensive vocabulary: a transitively-closed cluster of
 /// corresponding elements across schemata.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VocabularyTerm {
     /// Canonical display name (the most common element name in the cluster).
     pub name: String,
@@ -323,6 +322,7 @@ impl<'a> NWayMatch<'a> {
             .with_plan_policy(plan_policy)
             .plan_all_pairs(&self.schemas);
         let pruned = batch.pruned().len();
+        let plan_breakdown = batch.plan_breakdown();
         let result = batch.run_select_only(&selection);
         let mut outcomes = Vec::with_capacity(result.pairs.len());
         for pair in result.pairs {
@@ -366,6 +366,7 @@ impl<'a> NWayMatch<'a> {
             outcomes,
             pruned,
             timings: result.timings,
+            plan_breakdown,
         }
     }
 
@@ -405,6 +406,7 @@ impl<'a> NWayMatch<'a> {
                 outcomes: Vec::new(),
                 pruned: 0,
                 timings: StageTimings::default(),
+                plan_breakdown: PlanBreakdown::default(),
             };
         }
 
@@ -540,8 +542,6 @@ impl<'a> NWayMatch<'a> {
 
         let mut timings = StageTimings {
             plan,
-            plan_estimate,
-            plan_schedule,
             ..StageTimings::default()
         };
         let mut outcomes = Vec::with_capacity(selected.len());
@@ -564,6 +564,11 @@ impl<'a> NWayMatch<'a> {
             outcomes,
             pruned,
             timings,
+            plan_breakdown: PlanBreakdown {
+                estimate: plan_estimate,
+                cluster: std::time::Duration::ZERO,
+                schedule: plan_schedule,
+            },
         }
     }
 
@@ -650,10 +655,10 @@ pub struct NWayPopulation {
     pub outcomes: Vec<PairwiseOutcome>,
     /// Pairs the plan policy pruned before execution.
     pub pruned: usize,
-    /// Aggregated stage timings, with the Plan stage's
-    /// estimate/cluster/schedule split
-    /// ([`StageTimings::plan_estimate`] and friends).
+    /// Aggregated stage timings.
     pub timings: StageTimings,
+    /// The estimate/cluster/schedule split of `timings.plan`.
+    pub plan_breakdown: PlanBreakdown,
 }
 
 impl NWayPopulation {
@@ -685,7 +690,7 @@ pub struct PairwiseOutcome {
 }
 
 /// The comprehensive vocabulary of an N-way match.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Vocabulary {
     /// Number of schemata.
     pub n: usize,
@@ -1187,8 +1192,8 @@ mod tests {
             10,
             "incremental population covers exactly the full pair set"
         );
-        assert!(add_pop.timings.plan_estimate > std::time::Duration::ZERO);
-        assert!(add_pop.timings.plan >= add_pop.timings.plan_estimate);
+        assert!(add_pop.plan_breakdown.estimate > std::time::Duration::ZERO);
+        assert!(add_pop.timings.plan >= add_pop.plan_breakdown.estimate);
 
         // Same pruning decisions as the full plan (bounds are exact at the
         // final N), and the same consolidation.

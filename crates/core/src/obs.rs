@@ -869,7 +869,7 @@ impl TraceReport {
         }
     }
 
-    /// Hand-rolled JSON (the vendored serde stand-in has no serializer).
+    /// Hand-rolled JSON (the workspace has no serialization dependency).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"wall_ns\": {},\n", self.wall_ns));

@@ -7,12 +7,11 @@
 //! that subsuming Sys(S_B) would be a challenging undertaking."
 
 use crate::correspondence::MatchSet;
-use serde::{Deserialize, Serialize};
 use sm_schema::{ElementId, Schema};
 use std::collections::HashSet;
 
 /// The three-way partition of a binary match.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BinaryPartition {
     /// Source elements with no validated counterpart (S1 − S2).
     pub only_source: Vec<ElementId>,
@@ -94,7 +93,7 @@ impl BinaryPartition {
 }
 
 /// The customer's two options from §3.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubsumptionAdvice {
     /// Fold the target system into the source system.
     Subsume,

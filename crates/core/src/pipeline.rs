@@ -1,53 +1,55 @@
-//! The staged match pipeline: `Prepare → Score → Merge → Propagate → Select`.
+//! The staged match pipeline:
+//! `Prepare → Block → Score → Merge → Propagate → Select`.
 //!
-//! `MatchEngine::run` historically fused everything into one opaque loop.
-//! This module restructures the hot path into explicit, individually timed
-//! stages:
+//! Every full match runs on this one scoring path. The fully automated
+//! `MATCH(S1, S2)` ([`MatchPipeline::run`], [`MatchEngine::run`]) is the
+//! blocked pipeline under [`BlockingPolicy::Exhaustive`], whose candidate
+//! set is the whole cross product; the other policies prune that set first.
 //!
 //! 1. **Prepare** — fetch both schemata's [`crate::prepare::PreparedSchema`]
 //!    from the engine's feature cache (linguistic preprocessing runs only on
 //!    a cache miss) and assemble the pairwise [`MatchContext`] (joint TF-IDF
 //!    corpus).
-//! 2. **Score** — every voter scores every candidate pair into a per-block
-//!    `f64` vote buffer. Rows are sharded across the persistent
-//!    [`crate::exec::Executor`] with chunked work-stealing: lanes repeatedly
-//!    claim the next block of rows from a shared queue, so a straggler block
-//!    cannot idle the other cores the way a static partition can, and the
-//!    pool is shared with every concurrent pair of a batch instead of being
-//!    spawned and joined per run. When the engine's score cascade is active
-//!    ([`MatchEngine::cascade_active`]), the blocked path scores in two
-//!    tiers (see [`crate::cascade`]): tier 1 prunes candidate pairs whose
-//!    provable upper bound on the merged score falls below the engine's
-//!    floor, tier 2 runs the remaining voter lanes SoA-style over the
-//!    survivors — losslessly, the matrix stays bit-identical.
-//! 3. **Merge** — the engine's [`crate::merger::MergeStrategy`] collapses
+//! 2. **Block** — the token-blocking index prunes the cross product to a
+//!    [`CandidateSet`] under the run's [`BlockingPolicy`] (see
+//!    [`crate::index`]). The exhaustive policy keeps every pair and builds
+//!    no index.
+//! 3. **Score** — every voter scores every candidate pair. Candidate-bearing
+//!    rows are sharded across the persistent [`crate::exec::Executor`] with
+//!    chunked work-stealing: lanes repeatedly claim the next block of rows
+//!    from a shared queue, so a straggler block cannot idle the other cores,
+//!    and the pool is shared with every concurrent pair of a batch. When the
+//!    engine's score cascade is active ([`MatchEngine::cascade_active`]),
+//!    scoring runs in two tiers (see `crate::cascade`): tier 1 prunes
+//!    candidate pairs whose provable upper bound on the merged score falls
+//!    below the engine's floor, tier 2 runs the remaining voter lanes
+//!    SoA-style over the survivors. Otherwise the full panel runs on every
+//!    candidate — the cascade's pinned reference
+//!    ([`MatchEngine::with_cascade`]`(false)`).
+//! 4. **Merge** — the engine's [`crate::merger::MergeStrategy`] collapses
 //!    each pair's votes into one score. Score and Merge execute as one fused
 //!    parallel pass over block-sized scratch (never a full
-//!    `rows × cols × voters` tensor — at the paper's 1378×784 scale that
-//!    would be ~75 MB of transient allocation). Each worker measures its
-//!    tier-1, tier-2, and merge phases directly with per-row monotonic
-//!    timestamps; the fused pass's wall-clock is then split across
-//!    `score_tier1`/`score_tier2`/`merge` proportionally to those measured
-//!    CPU nanoseconds (`score` is the sum of the two tiers), replacing the
-//!    old whole-pass estimate that attributed time by a single
-//!    score-vs-merge ratio.
-//! 4. **Propagate** — one structural pass blends every non-root pair with its
-//!    parents' merged score (the engine's `propagation_alpha`).
-//! 5. **Select** — an optional [`Selection`] turns the matrix into candidate
+//!    `rows × cols × voters` tensor). Each worker measures its tier-1,
+//!    tier-2, and merge phases directly; the fused pass's wall-clock is then
+//!    split across `score_tier1`/`score_tier2`/`merge` proportionally to
+//!    those measured CPU nanoseconds (`score` is the sum of the two tiers).
+//! 5. **Propagate** — one structural pass blends every parented cell of
+//!    every candidate-bearing row with its parents' merged score (the
+//!    engine's `propagation_alpha`).
+//! 6. **Select** — an optional [`Selection`] turns the matrix into candidate
 //!    correspondences.
 //!
-//! Stage results are bit-identical to the historical fused loop: votes are
-//! kept in `f64`, merged exactly as `MatchEngine::score_pair` does, and only
-//! the merged score is narrowed to the matrix's `f32`.
+//! Every scored cell equals the per-pair definition: the votes are merged
+//! in `f64` exactly as [`MatchEngine::score_pair`] does, floored
+//! (`merged < floor → 0.0`) when the engine has a score floor, narrowed to
+//! the matrix's `f32`, and then blended `(1−α)·own + α·parent`. The pin
+//! tests check the pipeline against exactly that per-pair oracle.
 
 use crate::confidence::Confidence;
 use crate::context::MatchContext;
 use crate::correspondence::MatchSet;
 use crate::engine::MatchEngine;
-use crate::index::{
-    generate_candidates_governed, generate_candidates_with_governed, BlockingPolicy, CandidateSet,
-    ElementTokenIndex,
-};
+use crate::index::{generate_candidates_governed, BlockingPolicy, CandidateSet, ElementTokenIndex};
 use crate::matrix::MatchMatrix;
 use crate::obs;
 use crate::obs::SpanKind;
@@ -66,29 +68,17 @@ pub struct StageTimings {
     /// per-pair preparation is reported under `prepare`). See
     /// [`crate::batch`].
     pub plan: Duration,
-    /// Plan sub-stage: the pairwise-overlap estimate walk (zero under
-    /// [`crate::batch::PlanPolicy::Exhaustive`], which never estimates).
-    /// A sub-component of `plan`, not an extra stage.
-    pub plan_estimate: Duration,
-    /// Plan sub-stage: clustering the overlap estimates and electing hub
-    /// schemata (non-zero only under
-    /// [`crate::batch::PlanPolicy::ClusterFirst`]). A sub-component of
-    /// `plan`, not an extra stage.
-    pub plan_cluster: Duration,
-    /// Plan sub-stage: filtering the request list through the plan policy.
-    /// A sub-component of `plan`, not an extra stage.
-    pub plan_schedule: Duration,
     /// Feature-cache lookup / linguistic preprocessing + corpus assembly.
     pub prepare: Duration,
-    /// Candidate generation over the token-blocking index (zero on dense
-    /// runs, which score the full cross product).
+    /// Candidate generation over the token-blocking index (under the
+    /// exhaustive policy, just laying out the full cross product).
     pub block: Duration,
     /// Voter panel over all candidate pairs. Always the sum of
     /// `score_tier1` and `score_tier2`.
     pub score: Duration,
     /// Cascade tier 1: signature/profile bound computation and pruning.
-    /// Zero when the cascade is off (dense runs, non-default panels, no
-    /// score floor). A sub-component of `score`, not an extra stage.
+    /// Zero when the cascade is off (non-default panels, no score floor,
+    /// or [`MatchEngine::with_cascade`]`(false)`). A sub-component of `score`, not an extra stage.
     pub score_tier1: Duration,
     /// Cascade tier 2 (full voter panel over surviving pairs), or the
     /// whole Score stage when the cascade is off. A sub-component of
@@ -125,9 +115,6 @@ impl StageTimings {
     /// aggregation).
     pub fn accumulate(&mut self, other: &StageTimings) {
         self.plan += other.plan;
-        self.plan_estimate += other.plan_estimate;
-        self.plan_cluster += other.plan_cluster;
-        self.plan_schedule += other.plan_schedule;
         self.prepare += other.prepare;
         self.block += other.block;
         self.score += other.score;
@@ -141,19 +128,8 @@ impl StageTimings {
     }
 }
 
-/// Output of one pipeline execution (stages 1–4).
-#[derive(Debug)]
-pub struct PipelineRun {
-    /// The merged, propagated score matrix.
-    pub matrix: MatchMatrix,
-    /// Number of candidate pairs scored (`|S1| · |S2|`).
-    pub pairs_considered: usize,
-    /// Per-stage wall-clock timings.
-    pub timings: StageTimings,
-}
-
-/// Output of one blocked pipeline execution (Prepare → Block → Score →
-/// Merge → Propagate).
+/// Output of one pipeline execution (Prepare → Block → Score → Merge →
+/// Propagate).
 #[derive(Debug)]
 pub struct BlockedRun {
     /// The merged, propagated score matrix. Pairs pruned by blocking hold
@@ -212,36 +188,19 @@ impl<'e> MatchPipeline<'e> {
         MatchPipeline { engine }
     }
 
-    /// Run stages 1–4 (no selection).
-    pub fn run(&self, source: &Schema, target: &Schema) -> PipelineRun {
-        let mut timings = StageTimings::default();
-
-        // Stage 1: Prepare. The preparations come straight from the engine's
-        // cache, so the trusted (no re-fingerprint) assembly applies.
-        let (ctx, prepare_ns) = obs::timed(SpanKind::StagePrepare, 0, || {
-            let prepared_source = self.engine.prepare(source);
-            let prepared_target = self.engine.prepare(target);
-            MatchContext::from_prepared_trusted(
-                source,
-                target,
-                &prepared_source,
-                &prepared_target,
-                &sm_schema::InstanceData::empty(),
-                &sm_schema::InstanceData::empty(),
-            )
-        });
-        timings.prepare = Duration::from_nanos(prepare_ns);
-
-        self.run_on_context(&ctx, timings)
+    /// The full automated match: stages 1–5 over every pair of the cross
+    /// product (the exhaustive blocking policy; no selection).
+    pub fn run(&self, source: &Schema, target: &Schema) -> BlockedRun {
+        self.run_blocked(source, target, &BlockingPolicy::Exhaustive)
     }
 
-    /// Run stages 1–5, applying `selection` to the final matrix.
+    /// Run stages 1–6, applying `selection` to the final matrix.
     pub fn run_select(
         &self,
         source: &Schema,
         target: &Schema,
         selection: &Selection,
-    ) -> (PipelineRun, MatchSet) {
+    ) -> (BlockedRun, MatchSet) {
         let mut run = self.run(source, target);
         let started = Instant::now();
         let selected = selection.apply(&run.matrix);
@@ -249,66 +208,16 @@ impl<'e> MatchPipeline<'e> {
         (run, selected)
     }
 
-    /// Run stages 2–4 against an existing context (the context build time, if
-    /// any, is the caller's; `timings.prepare` is carried through).
-    pub fn run_on_context(&self, ctx: &MatchContext<'_>, mut timings: StageTimings) -> PipelineRun {
-        let rows = ctx.source.len();
-        let cols = ctx.target.len();
-        let mut matrix = MatchMatrix::new(rows, cols);
-        if rows == 0 || cols == 0 {
-            return PipelineRun {
-                matrix,
-                pairs_considered: 0,
-                timings,
-            };
-        }
-
-        // Stages 2+3: Score and Merge, fused per block. The dense path
-        // always runs the full panel (the cascade only pays off against
-        // CSR candidate rows), so tier 1 is zero by definition.
-        let started = Instant::now();
-        let fused_start = obs::now_ns();
-        let (score_ns, merge_ns) = self.score_and_merge(ctx, &mut matrix, rows, cols);
-        let fused = started.elapsed();
-        let total_ns = (score_ns + merge_ns).max(1);
-        timings.score = fused.mul_f64(score_ns as f64 / total_ns as f64);
-        timings.score_tier2 = timings.score;
-        timings.merge = fused.saturating_sub(timings.score);
-        timings.pairs_full = (rows * cols) as u64;
-        record_fused_stage_spans(fused_start, &timings);
-
-        // Stage 4: Propagate.
-        let started = Instant::now();
-        let prop_start = obs::now_ns();
-        if self.engine.propagation_alpha > 0.0 {
-            self.propagate(ctx.source, ctx.target, &mut matrix, None);
-        }
-        timings.propagate = started.elapsed();
-        obs::record_span(
-            SpanKind::StagePropagate,
-            0,
-            prop_start,
-            timings.propagate.as_nanos() as u64,
-        );
-
-        PipelineRun {
-            matrix,
-            pairs_considered: rows * cols,
-            timings,
-        }
-    }
-
     /// Run the blocked pipeline: Prepare → Block → sparse Score/Merge →
     /// sparse Propagate.
     ///
-    /// The Block stage builds token indices over both prepared schemata and
-    /// lets `policy` prune the cross product to a [`CandidateSet`]; only
-    /// candidates are scored. Propagation densifies exactly the rows that
-    /// have candidates: every cell of such a row with a parented target is
-    /// blended with its parents' base score (the parent pair is itself a
-    /// candidate by construction, so the base read is always a *scored*
-    /// value). With [`BlockingPolicy::Exhaustive`] the result is
-    /// byte-identical to [`Self::run`].
+    /// The Block stage lets `policy` prune the cross product to a
+    /// [`CandidateSet`]; only candidates are scored. Propagation densifies
+    /// exactly the rows that have candidates: every cell of such a row with
+    /// a parented target is blended with its parents' base score (the
+    /// parent pair is itself a candidate by construction, so the base read
+    /// is always a *scored* value). [`BlockingPolicy::Exhaustive`] scores
+    /// every pair — that is [`Self::run`].
     pub fn run_blocked(
         &self,
         source: &Schema,
@@ -352,8 +261,6 @@ impl<'e> MatchPipeline<'e> {
         indices: Option<(&ElementTokenIndex, &ElementTokenIndex)>,
         policy: &BlockingPolicy,
     ) -> BlockedRun {
-        let mut timings = StageTimings::default();
-
         // Stage 1: Prepare (the per-schema half is the caller's cache hit;
         // only the joint TF-IDF corpus is assembled here).
         let (ctx, prepare_ns) = obs::timed(SpanKind::StagePrepare, 0, || {
@@ -366,43 +273,53 @@ impl<'e> MatchPipeline<'e> {
                 &sm_schema::InstanceData::empty(),
             )
         });
-        timings.prepare = Duration::from_nanos(prepare_ns);
+        self.run_context(
+            &ctx,
+            prepared_source,
+            prepared_target,
+            indices,
+            policy,
+            Duration::from_nanos(prepare_ns),
+        )
+    }
 
-        // Stage 1.5: Block. With pre-built indices the stage is pure
-        // probing; otherwise the per-pair index builds land here, exactly as
-        // before the batch planner existed. Both probe directions (and the
-        // per-pair builds) fan out across the engine's executor lanes.
+    /// Stages 2–5 against an assembled context: the body every entry point
+    /// shares. `prepared_*` must be the preparations `ctx` was built from;
+    /// `prepare` is the caller's Prepare-stage time, carried through.
+    pub(crate) fn run_context(
+        &self,
+        ctx: &MatchContext<'_>,
+        prepared_source: &PreparedSchema,
+        prepared_target: &PreparedSchema,
+        indices: Option<(&ElementTokenIndex, &ElementTokenIndex)>,
+        policy: &BlockingPolicy,
+        prepare: Duration,
+    ) -> BlockedRun {
+        let mut timings = StageTimings {
+            prepare,
+            ..StageTimings::default()
+        };
+
+        // Stage 2: Block. With pre-built indices the stage is pure probing;
+        // otherwise the per-pair index builds land here. Both probe
+        // directions (and the per-pair builds) fan out across the engine's
+        // executor lanes.
         let started = Instant::now();
         let block_start = obs::now_ns();
-        let exec = self.engine.executor();
-        let gov = crate::index::GovernedExec {
-            budget: self.engine.lane_budget.as_deref(),
-            token: self.engine.job_token.as_ref(),
-        };
-        let candidates = match indices {
-            Some((source_index, target_index)) => generate_candidates_with_governed(
-                source,
-                target,
-                prepared_source,
-                prepared_target,
-                source_index,
-                target_index,
-                policy,
-                exec,
-                self.engine.threads,
-                gov,
-            ),
-            None => generate_candidates_governed(
-                source,
-                target,
-                prepared_source,
-                prepared_target,
-                policy,
-                exec,
-                self.engine.threads,
-                gov,
-            ),
-        };
+        let candidates = generate_candidates_governed(
+            ctx.source,
+            ctx.target,
+            prepared_source,
+            prepared_target,
+            indices,
+            policy,
+            self.engine.executor(),
+            self.engine.threads,
+            crate::index::GovernedExec {
+                budget: self.engine.lane_budget.as_deref(),
+                token: self.engine.job_token.as_ref(),
+            },
+        );
         timings.block = started.elapsed();
         obs::record_span(
             SpanKind::StageBlock,
@@ -427,12 +344,12 @@ impl<'e> MatchPipeline<'e> {
             };
         }
 
-        // Stages 2+3: sparse Score and Merge over the candidates. The
+        // Stages 3+4: sparse Score and Merge over the candidates. The
         // workers time their tier-1/tier-2/merge phases directly; the
         // fused wall-clock is split in proportion to those measurements.
         let started = Instant::now();
         let fused_start = obs::now_ns();
-        let stats = self.score_and_merge_blocked(&ctx, &mut matrix, &candidates);
+        let stats = self.score_and_merge_blocked(ctx, &mut matrix, &candidates);
         let fused = started.elapsed();
         let total_ns = (stats.tier1_ns + stats.tier2_ns + stats.merge_ns).max(1);
         timings.score_tier1 = fused.mul_f64(stats.tier1_ns as f64 / total_ns as f64);
@@ -447,11 +364,11 @@ impl<'e> MatchPipeline<'e> {
             obs::add(obs::Counter::CascadePairsFull, timings.pairs_full);
         }
 
-        // Stage 4: sparse Propagate.
+        // Stage 5: sparse Propagate.
         let started = Instant::now();
         let prop_start = obs::now_ns();
         if self.engine.propagation_alpha > 0.0 {
-            self.propagate(ctx.source, ctx.target, &mut matrix, Some(&candidates));
+            self.propagate(ctx.source, ctx.target, &mut matrix, &candidates);
         }
         timings.propagate = started.elapsed();
         obs::record_span(
@@ -477,108 +394,11 @@ impl<'e> MatchPipeline<'e> {
         (rows / (threads * 4)).clamp(1, 64)
     }
 
-    /// Stages 2+3, fused: per claimed block, fill a block-local `f64` vote
-    /// buffer (Score), then collapse it into the matrix rows (Merge). Peak
-    /// scratch is `lanes × block_rows × cols × voters` doubles instead of
-    /// a full-matrix tensor. Chunk lanes run on the engine's persistent
-    /// [`crate::exec::Executor`] — under a batch, idle pool workers steal
-    /// these blocks from whichever pair is currently executing. Returns
-    /// accumulated `(score, merge)` CPU nanoseconds across all lanes, for
-    /// the proportional wall-clock split.
-    fn score_and_merge(
-        &self,
-        ctx: &MatchContext<'_>,
-        matrix: &mut MatchMatrix,
-        rows: usize,
-        cols: usize,
-    ) -> (u64, u64) {
-        let voters = &self.engine.voters;
-        let merger = &self.engine.merger;
-        // No floor is a floor of -∞: `merged < floor` is never true and
-        // every merged value is written verbatim. The comparison runs on
-        // the f64 merged value before the f32 narrowing, so floored and
-        // unfloored runs agree bit-for-bit on every surviving cell.
-        let floor = self.engine.score_floor.unwrap_or(f64::NEG_INFINITY);
-        let nv = voters.len();
-        let threads = self.engine.threads.min(rows).max(1);
-        let block_rows = self.block_rows(rows, threads);
-
-        // Per-worker state: block vote buffer + merge scratch + timers.
-        struct Worker {
-            votes: Vec<f64>,
-            scratch: Vec<Confidence>,
-            score_ns: u64,
-            merge_ns: u64,
-        }
-
-        let process_block = |first_row: usize, block: &mut [f32], w: &mut Worker| {
-            let block_len = block.len() * nv;
-            let t0 = Instant::now();
-            w.votes.clear();
-            w.votes.resize(block_len, 0.0);
-            for (r, row_votes) in w.votes.chunks_mut(cols * nv).enumerate() {
-                let s = ElementId((first_row + r) as u32);
-                for (j, cell) in row_votes.chunks_mut(nv).enumerate() {
-                    let t = ElementId(j as u32);
-                    for (slot, voter) in cell.iter_mut().zip(voters) {
-                        *slot = voter.vote(ctx, s, t).value();
-                    }
-                }
-            }
-            w.score_ns += t0.elapsed().as_nanos() as u64;
-
-            let t1 = Instant::now();
-            for (cell, pair_votes) in block.iter_mut().zip(w.votes.chunks(nv)) {
-                w.scratch.clear();
-                w.scratch
-                    .extend(pair_votes.iter().map(|&v| Confidence::new(v)));
-                let merged = merger.merge(&w.scratch).value();
-                *cell = if merged < floor { 0.0 } else { merged as f32 };
-            }
-            w.merge_ns += t1.elapsed().as_nanos() as u64;
-        };
-
-        let new_worker = || Worker {
-            votes: Vec::with_capacity(block_rows * cols * nv),
-            scratch: Vec::with_capacity(nv),
-            score_ns: 0,
-            merge_ns: 0,
-        };
-
-        let score_total = AtomicU64::new(0);
-        let merge_total = AtomicU64::new(0);
-        let queue = Mutex::new(
-            matrix
-                .as_mut_slice()
-                .chunks_mut(block_rows * cols)
-                .enumerate(),
-        );
-        self.engine.run_lanes(threads, |_| {
-            let mut w = new_worker();
-            loop {
-                let claimed = queue.lock().expect("pipeline queue poisoned").next();
-                let Some((index, block)) = claimed else { break };
-                // Cancellation point: the claim-queue lock is released and
-                // this block is untouched, so unwinding here leaves the
-                // matrix exactly as the previous chunks wrote it.
-                self.engine.checkpoint();
-                let _chunk = obs::span(SpanKind::ScoreChunk, (index * block_rows) as u64);
-                process_block(index * block_rows, block, &mut w);
-            }
-            score_total.fetch_add(w.score_ns, Ordering::Relaxed);
-            merge_total.fetch_add(w.merge_ns, Ordering::Relaxed);
-        });
-        (
-            score_total.load(Ordering::Relaxed),
-            merge_total.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Sparse Stages 2+3: score and merge only the candidate pairs. The
-    /// per-pair arithmetic is exactly the dense path's (same voter order,
-    /// same `f64` vote buffer, same merge), so a cell scored here is bit-
-    /// identical to the same cell of a dense run; non-candidates are left at
-    /// the matrix's neutral `0.0`. Work-stealing operates on blocks of
+    /// Stages 3+4, fused: score and merge only the candidate pairs. The
+    /// per-pair arithmetic is exactly [`MatchEngine::score_pair`]'s (same
+    /// voter order, `f64` votes, same merge), followed by the floor and the
+    /// `f32` narrowing; non-candidates are left at the matrix's neutral
+    /// `0.0`. Work-stealing operates on blocks of
     /// *candidate-bearing rows* — rows blocking emptied cost nothing — and
     /// the lanes come from the engine's persistent executor.
     ///
@@ -595,7 +415,10 @@ impl<'e> MatchPipeline<'e> {
     ) -> FusedStats {
         let voters = &self.engine.voters;
         let merger = &self.engine.merger;
-        // See `score_and_merge`: absent floor = -∞, nothing is floored.
+        // No floor is a floor of -∞: `merged < floor` is never true and
+        // every merged value is written verbatim. The comparison runs on
+        // the f64 merged value before the f32 narrowing, so floored and
+        // unfloored runs agree bit-for-bit on every surviving cell.
         let floor = self.engine.score_floor.unwrap_or(f64::NEG_INFINITY);
         let nv = voters.len();
         let cols = ctx.target.len();
@@ -759,15 +582,13 @@ impl<'e> MatchPipeline<'e> {
         }
     }
 
-    /// Stage 4: blend every parented cell of every *active* source row with
-    /// its parents' *base* merged score (order-independent single pass).
-    /// The dense run passes `None` — every row active; the blocked run
-    /// passes its candidates, and a row is active when it has any. Within
-    /// an active row every parented cell is blended (non-candidate cells
-    /// blend their stored neutral `0.0` with the parents' scored base —
-    /// densifying children of strong container pairs for free). Under the
-    /// exhaustive policy every row has candidates, so both runs blend the
-    /// same cells.
+    /// Stage 5: blend every parented cell of every *active* source row —
+    /// one with any candidate — with its parents' *base* merged score
+    /// (order-independent single pass). Within an active row every parented
+    /// cell is blended (non-candidate cells blend their stored neutral `0.0`
+    /// with the parents' scored base — densifying children of strong
+    /// container pairs for free). Under the exhaustive policy every row is
+    /// active.
     ///
     /// Only the base rows some active row reads — its parent's — are
     /// snapshotted before the blend, not the whole matrix: at paper scale
@@ -777,11 +598,11 @@ impl<'e> MatchPipeline<'e> {
         source: &Schema,
         target: &Schema,
         matrix: &mut MatchMatrix,
-        candidates: Option<&CandidateSet>,
+        candidates: &CandidateSet,
     ) {
         let alpha = self.engine.propagation_alpha;
         let cols = matrix.cols();
-        let active = |s: ElementId| candidates.is_none_or(|c| !c.row(s.index()).is_empty());
+        let active = |s: ElementId| !candidates.row(s.index()).is_empty();
         // Parented target columns as `(column, parent column)`.
         let parented: Vec<(usize, usize)> = target
             .elements()
@@ -849,46 +670,45 @@ mod tests {
         (a, b)
     }
 
-    /// Independent reference: compute every score through the public
-    /// per-pair path (`score_pair` + the documented propagation blend) and
-    /// demand the fused block pipeline reproduce it exactly. This is the
-    /// guard against block-indexing or scratch-reuse bugs in
-    /// `score_and_merge` — `engine.run` delegates to the pipeline, so
-    /// comparing those two would be a self-comparison.
-    #[test]
-    fn staged_run_matches_per_pair_reference() {
-        let (a, b) = fixture();
-        let engine = MatchEngine::new().with_threads(3).with_propagation(0.3);
-        let staged = engine.pipeline().run(&a, &b);
-        assert_eq!(staged.pairs_considered, a.len() * b.len());
-
-        let ctx = engine.build_context(&a, &b);
+    /// Independent reference: every cell computed through the public
+    /// per-pair path — `score_pair`, the floor, the `f32` narrowing, then
+    /// the documented propagation blend — sharing nothing with the
+    /// pipeline past the voter kernels. Row-major.
+    fn per_pair_reference(
+        engine: &MatchEngine,
+        a: &Schema,
+        b: &Schema,
+        floor: Option<f64>,
+        alpha: f64,
+    ) -> Vec<f32> {
+        let ctx = engine.build_context(a, b);
+        let floor = floor.unwrap_or(f64::NEG_INFINITY);
         let base: Vec<f32> = a
             .ids()
-            .flat_map(|s| {
-                b.ids()
-                    .map(|t| engine.score_pair(&ctx, s, t).value() as f32)
-                    .collect::<Vec<_>>()
+            .flat_map(|s| b.ids().map(move |t| (s, t)))
+            .map(|(s, t)| {
+                let merged = engine.score_pair(&ctx, s, t).value();
+                if merged < floor {
+                    0.0
+                } else {
+                    merged as f32
+                }
             })
             .collect();
-        let alpha = 0.3;
+        let mut expected = Vec::with_capacity(base.len());
         for s in a.ids() {
             for t in b.ids() {
                 let own = f64::from(base[s.index() * b.len() + t.index()]);
-                let expected = match (a.element(s).parent, b.element(t).parent) {
+                expected.push(match (a.element(s).parent, b.element(t).parent) {
                     (Some(ps), Some(pt)) => {
                         let par = f64::from(base[ps.index() * b.len() + pt.index()]);
                         ((1.0 - alpha) * own + alpha * par) as f32
                     }
                     _ => own as f32,
-                };
-                assert_eq!(
-                    staged.matrix.get(s, t).value(),
-                    f64::from(expected),
-                    "pipeline diverged from per-pair reference at ({s:?},{t:?})"
-                );
+                });
             }
         }
+        expected
     }
 
     #[test]
@@ -916,23 +736,31 @@ mod tests {
         assert!(run.matrix.is_empty());
     }
 
+    /// The full match reproduces the per-pair reference exactly, floored
+    /// and unfloored, at any lane count — the guard against block-indexing
+    /// or scratch-reuse bugs in the fused Score/Merge pass. ("Dense" is the
+    /// reference: every pair scored on its own.)
     #[test]
     fn exhaustive_blocked_run_is_byte_identical_to_dense() {
         let (a, b) = fixture();
-        for threads in [1, 3] {
-            let engine = MatchEngine::new()
-                .with_threads(threads)
-                .with_propagation(0.3);
-            let dense = engine.pipeline().run(&a, &b);
-            let blocked = engine
-                .pipeline()
-                .run_blocked(&a, &b, &BlockingPolicy::Exhaustive);
-            assert_eq!(blocked.pairs_scored, a.len() * b.len());
-            assert_eq!(
-                dense.matrix.as_slice(),
-                blocked.matrix.as_slice(),
-                "exhaustive blocking must reproduce the dense matrix bit for bit"
-            );
+        for floor in [None, Some(0.0)] {
+            for threads in [1, 3] {
+                let engine = MatchEngine::new()
+                    .with_threads(threads)
+                    .with_score_floor(floor)
+                    .with_propagation(0.3);
+                let blocked = engine
+                    .pipeline()
+                    .run_blocked(&a, &b, &BlockingPolicy::Exhaustive);
+                assert_eq!(blocked.pairs_considered, a.len() * b.len());
+                assert_eq!(blocked.pairs_scored, blocked.pairs_considered);
+                assert_eq!(
+                    blocked.matrix.as_slice(),
+                    per_pair_reference(&engine, &a, &b, floor, 0.3).as_slice(),
+                    "exhaustive blocking diverged from the per-pair reference \
+                     (floor {floor:?}, {threads} threads)"
+                );
+            }
         }
     }
 

@@ -17,12 +17,11 @@
 //!   Jagadish, VLDB 2006): elements are ranked by subtree size, fanout, and
 //!   documentation, and the top-k containers become concepts.
 
-use serde::{Deserialize, Serialize};
 use sm_schema::{DataType, ElementId, ElementKind, Schema, SchemaFormat, SchemaId};
 use std::collections::HashMap;
 
 /// One concept of a schema summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Concept {
     /// Human-assigned or derived label (e.g. `"Event"`, `"Person"`).
     pub label: String,
@@ -42,7 +41,7 @@ impl Concept {
 
 /// A summary S′ of a schema S: a flat list of concepts plus the mapping from
 /// elements of S to concepts of S′.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Summary {
     /// Concepts in creation order.
     pub concepts: Vec<Concept>,

@@ -15,12 +15,11 @@
 use harmony_core::batch::prepare_schemas_global;
 use harmony_core::effort::{EffortEstimate, EffortModel};
 use harmony_core::prepare::PreparedSchema;
-use serde::{Deserialize, Serialize};
 use sm_schema::{Schema, SchemaId};
 use std::sync::Arc;
 
 /// Go / no-go grading of a proposed integration project.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FeasibilityGrade {
     /// High overlap: a community vocabulary will come cheaply.
     Favorable,
@@ -32,7 +31,7 @@ pub enum FeasibilityGrade {
 
 /// Feasibility assessment for building a community vocabulary over a set of
 /// candidate source schemata.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FeasibilityReport {
     /// The candidate sources.
     pub members: Vec<SchemaId>,

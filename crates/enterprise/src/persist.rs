@@ -4,9 +4,10 @@
 //! pipeline (tokenization, abbreviation expansion, stemming, Soundex,
 //! blocking features) on every element — by far the dominant cost of the
 //! first query. This module serializes each schema's
-//! [`PreparedSchemaParts`] — exactly the normalizer *output* — to a compact
-//! binary image, so a restarted process re-interns strings and recomputes
-//! the cheap derived fields instead of re-normalizing.
+//! [`harmony_core::prepare::PreparedSchemaParts`] — exactly the normalizer
+//! *output* — to a compact binary image, so a restarted process re-interns
+//! strings and recomputes the cheap derived fields instead of
+//! re-normalizing.
 //!
 //! ## Format (version 1, little-endian)
 //!

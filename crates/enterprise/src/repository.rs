@@ -17,7 +17,6 @@ use harmony_core::obs;
 use harmony_core::prepare::{schema_fingerprint, FeatureCache, PreparedSchema};
 use harmony_core::select::Selection;
 use harmony_core::swap::SnapCell;
-use serde::{Deserialize, Serialize};
 use sm_schema::{ElementId, Schema, SchemaId, SchemaPath};
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
@@ -27,7 +26,7 @@ use std::sync::{Arc, Condvar, Mutex};
 /// The intended consumption context of a stored match — §5's observation
 /// that "matches are context-dependent". Ordered by the precision the
 /// context demands (search tolerates noise; BI does not).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MatchContextTag {
     /// Discovery / search: recall over precision.
     Search,
@@ -48,7 +47,7 @@ impl MatchContextTag {
 }
 
 /// A stored match artifact.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MatchRecord {
     /// Source schema.
     pub source_id: SchemaId,
@@ -68,7 +67,7 @@ pub struct MatchRecord {
 }
 
 /// One provenance assertion: who said `source ≈ target`, in which record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Provenance {
     /// Index of the record in the repository.
     pub record_index: usize,

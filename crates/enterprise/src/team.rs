@@ -8,12 +8,11 @@
 //! domain-expertise preferences.
 
 use harmony_core::summarize::Summary;
-use serde::{Deserialize, Serialize};
 use sm_schema::Schema;
 use sm_text::tokenize_identifier;
 
 /// One engineer on the integration team.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineerProfile {
     /// Display name.
     pub name: String,
@@ -50,7 +49,7 @@ impl EngineerProfile {
 }
 
 /// One concept-matching task.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MatchTask {
     /// Concept label (from the schema summary).
     pub concept: String,
@@ -61,7 +60,7 @@ pub struct MatchTask {
 }
 
 /// One engineer's queue.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskQueue {
     /// The engineer.
     pub engineer: String,
@@ -72,7 +71,7 @@ pub struct TaskQueue {
 }
 
 /// A complete team plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TeamPlan {
     /// One queue per engineer.
     pub queues: Vec<TaskQueue>,

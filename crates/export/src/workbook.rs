@@ -15,12 +15,11 @@
 use crate::csv::{fmt_score, CsvWriter};
 use harmony_core::correspondence::MatchSet;
 use harmony_core::summarize::Summary;
-use serde::{Deserialize, Serialize};
 use sm_schema::{ElementId, Schema};
 use std::collections::{HashMap, HashSet};
 
 /// The paper's three row types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RowKind {
     /// Specific to the source schema (S_A).
     SourceOnly,
@@ -41,7 +40,7 @@ impl RowKind {
 }
 
 /// One row of the concept sheet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConceptRow {
     /// Outer-join row type.
     pub kind: RowKind,
@@ -52,7 +51,7 @@ pub struct ConceptRow {
 }
 
 /// One row of the element sheet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ElementRow {
     /// Outer-join row type.
     pub kind: RowKind,
@@ -69,7 +68,7 @@ pub struct ElementRow {
 }
 
 /// The two-sheet deliverable.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Workbook {
     /// Sheet 1: concepts and concept-level matches.
     pub concept_sheet: Vec<ConceptRow>,

@@ -5,7 +5,6 @@
 //! Y?". Relational and XML schemata use different type vocabularies, so both
 //! are normalized into this lattice first.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Normalized data type of a schema element.
@@ -13,7 +12,7 @@ use std::fmt;
 /// The variants cover the types that actually occur in enterprise data models
 /// (the paper's S_A/S_B carried dates, identifiers, free text, quantities and
 /// codes). Structural nodes (tables, complex types) use [`DataType::None`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DataType {
     /// Structural element without a value type (table, complex type, group).
     None,

@@ -5,10 +5,8 @@
 //! schema documentation is easier to obtain than data" (§3.2). Documentation
 //! is therefore a structured, first-class artifact rather than a bare string.
 
-use serde::{Deserialize, Serialize};
-
 /// Provenance of a piece of documentation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DocSource {
     /// Comment embedded in the schema definition (DDL comment, xs:annotation).
     Embedded,
@@ -21,7 +19,7 @@ pub enum DocSource {
 }
 
 /// Textual documentation attached to a schema element.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Documentation {
     /// Free-text description of the element's meaning.
     pub description: String,

@@ -2,7 +2,6 @@
 
 use crate::datatype::DataType;
 use crate::doc::Documentation;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of an element within its [`crate::Schema`]'s arena.
@@ -11,7 +10,7 @@ use std::fmt;
 /// schema, which lets the match engine store scores in flat matrices indexed
 /// by `(source id, target id)` — essential for the paper's 1378×784 ≈ 10^6
 /// pair workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ElementId(pub u32);
 
 impl ElementId {
@@ -29,7 +28,7 @@ impl fmt::Display for ElementId {
 }
 
 /// What kind of schema construct an element represents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ElementKind {
     /// Relational table (depth 1 in the paper's model).
     Table,
@@ -99,7 +98,7 @@ impl fmt::Display for ElementKind {
 /// Elements are created through [`crate::Schema`]'s builder methods; the
 /// fields are public for read access but structural invariants (parent/child
 /// consistency, depth correctness) are maintained by the schema.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Element {
     /// This element's id in the owning schema's arena.
     pub id: ElementId,

@@ -8,11 +8,10 @@
 //! they are available at all.
 
 use crate::element::ElementId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Sampled instance values for (some) elements of one schema.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct InstanceData {
     values: HashMap<ElementId, Vec<String>>,
 }
@@ -52,7 +51,7 @@ impl InstanceData {
 
 /// Cheap distributional features of one element's value sample, precomputed
 /// once so per-pair comparisons are O(feature count).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstanceProfile {
     /// Number of sampled values.
     pub count: usize,

@@ -3,12 +3,11 @@
 //! Paths identify elements across serialization boundaries (spreadsheets,
 //! repositories, provenance records) where arena ids would be meaningless.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A `/`-separated path of element names from a root to an element, e.g.
 /// `All_Event_Vitals/DATE_BEGIN_156`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SchemaPath {
     segments: Vec<String>,
 }

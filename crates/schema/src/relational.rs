@@ -9,11 +9,10 @@ use crate::doc::Documentation;
 use crate::element::ElementKind;
 use crate::error::SchemaError;
 use crate::schema::{Schema, SchemaFormat, SchemaId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Specification of one column.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ColumnSpec {
     /// Column name.
     pub name: String,
@@ -69,7 +68,7 @@ impl ColumnSpec {
 }
 
 /// Specification of one table (or view).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TableSpec {
     /// Table name.
     pub name: String,

@@ -5,12 +5,11 @@ use crate::doc::Documentation;
 use crate::element::{Element, ElementId, ElementKind};
 use crate::error::SchemaError;
 use crate::path::SchemaPath;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// Stable identifier of a schema within a registry or matching effort.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SchemaId(pub u32);
 
 impl fmt::Display for SchemaId {
@@ -20,7 +19,7 @@ impl fmt::Display for SchemaId {
 }
 
 /// The serialization format a schema originated from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchemaFormat {
     /// Relational DDL (the paper's S_A, 1378 elements).
     Relational,
@@ -52,7 +51,7 @@ impl fmt::Display for SchemaFormat {
 ///   maps directly onto [`Element::depth`].
 /// * An element *count* in the paper's sense (S_A "contains 1378 elements")
 ///   is simply [`Schema::len`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Schema {
     /// Registry identifier.
     pub id: SchemaId,
@@ -528,18 +527,5 @@ mod tests {
         assert_eq!(s.max_depth(), 0);
         s.validate().unwrap();
         assert_eq!(s.doc_coverage(), 0.0);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let s = tiny_relational();
-        let json = serde_json_like(&s);
-        assert!(json.contains("Vehicle"));
-    }
-
-    /// We don't depend on serde_json; smoke-test Serialize via the debug
-    /// representation of the serde data model using `serde::Serialize` bound.
-    fn serde_json_like<T: serde::Serialize + std::fmt::Debug>(v: &T) -> String {
-        format!("{v:?}")
     }
 }

@@ -6,11 +6,10 @@
 
 use crate::element::ElementKind;
 use crate::schema::Schema;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Aggregate statistics of one schema.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchemaStats {
     /// Total number of elements.
     pub element_count: usize,

@@ -10,10 +10,9 @@ use crate::doc::Documentation;
 use crate::element::{ElementId, ElementKind};
 use crate::error::SchemaError;
 use crate::schema::{Schema, SchemaFormat, SchemaId};
-use serde::{Deserialize, Serialize};
 
 /// Occurrence constraint of an XML node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Occurs {
     /// Minimum occurrences.
     pub min: u32,
@@ -48,7 +47,7 @@ impl Default for Occurs {
 }
 
 /// Specification of one node in an XML schema tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct XmlNodeSpec {
     /// Node name.
     pub name: String,
@@ -65,7 +64,7 @@ pub struct XmlNodeSpec {
 }
 
 /// Kinds of XML schema nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum XmlNodeKind {
     /// An element declaration (may nest or carry simple content).
     Element,

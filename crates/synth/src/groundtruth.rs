@@ -6,14 +6,13 @@
 //! paper's real engagement could not perform.
 
 use harmony_core::correspondence::MatchSet;
-use serde::{Deserialize, Serialize};
 use sm_schema::ElementId;
 use std::collections::{HashMap, HashSet};
 
 use crate::ontology::SemanticId;
 
 /// Ground truth of one generated schema pair.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct GroundTruth {
     /// True correspondences (source element, target element).
     pairs: HashSet<(ElementId, ElementId)>,
@@ -24,7 +23,7 @@ pub struct GroundTruth {
 }
 
 /// Precision/recall evaluation result.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrEval {
     /// True positives.
     pub tp: usize,

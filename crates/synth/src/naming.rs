@@ -9,12 +9,11 @@
 
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use sm_text::abbrev::AbbrevDict;
 use std::collections::HashMap;
 
 /// Identifier case conventions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Case {
     /// `begin_date`
     Snake,
@@ -82,7 +81,7 @@ const SYNONYM_CLASSES: &[&[&str]] = &[
 ];
 
 /// A per-schema naming convention.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NamingStyle {
     /// Case convention.
     pub case: Case,

@@ -9,12 +9,11 @@
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use sm_schema::DataType;
 
 /// Identifies one semantic atom of the ontology: a concept or one of its
 /// attributes. Two schema elements correspond iff they realize the same atom.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SemanticId {
     /// The concept itself (realized as a table / complex type).
     Concept(u32),
@@ -28,7 +27,7 @@ pub enum SemanticId {
 }
 
 /// One attribute of a concept.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AttributeSpec {
     /// Canonical name tokens, lowercase (e.g. `["begin", "date"]`).
     pub tokens: Vec<String>,
@@ -39,7 +38,7 @@ pub struct AttributeSpec {
 }
 
 /// One concept of the ontology.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConceptSpec {
     /// Canonical name tokens, lowercase (e.g. `["maintenance", "event"]`).
     pub tokens: Vec<String>,
@@ -57,7 +56,7 @@ impl ConceptSpec {
 }
 
 /// A generated domain ontology.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Ontology {
     /// All concepts.
     pub concepts: Vec<ConceptSpec>,

@@ -54,7 +54,7 @@ struct ArenaInner {
 /// later intern of an equal string returns the same id, from any thread.
 pub struct TokenArena {
     /// Process-unique arena identity; disambiguates ids from different
-    /// arenas in cross-arena-unsafe caches (see [`pair_key`]).
+    /// arenas in cross-arena-unsafe caches (see [`PairMemo`]).
     tag: u32,
     inner: RwLock<ArenaInner>,
 }

@@ -5,9 +5,12 @@
 //!   above the operating threshold must survive blocking (be a candidate) —
 //!   checked property-style over synthetic workloads with planted ground
 //!   truth, across seeds, scales, and overlap rates.
-//! * Under [`BlockingPolicy::Exhaustive`], `run_blocked` is byte-identical
-//!   to `run` — the sparse Score/Merge/Propagate machinery reproduces the
-//!   dense pipeline bit for bit when nothing is pruned.
+//! * Under [`BlockingPolicy::Exhaustive`] — the full match `run` —
+//!   `run_blocked` reproduces the per-pair oracle (`tests/common`) bit for
+//!   bit: the sparse Score/Merge/Propagate machinery loses nothing when
+//!   nothing is pruned.
+
+mod common;
 
 use harmony_core::index::{generate_candidates, BlockingPolicy};
 use harmony_core::prelude::*;
@@ -110,20 +113,31 @@ fn blocked_run_keeps_ground_truth_recall() {
     }
 }
 
-/// Pin: with the exhaustive policy, `run_blocked` output is byte-identical
-/// to `run` — across thread counts.
+/// Pin: the full match — `run`, which is `run_blocked` under the
+/// exhaustive policy — reproduces the per-pair oracle byte for byte,
+/// floored and unfloored, across thread counts.
 #[test]
 fn exhaustive_run_blocked_is_byte_identical_to_run() {
     let pair = SchemaPair::generate(&GeneratorConfig::paper_case_study(11, 0.08));
-    for threads in [1usize, 4] {
-        let engine = engine().with_threads(threads);
-        let dense = engine.run(&pair.source, &pair.target);
-        let blocked = engine.run_blocked(&pair.source, &pair.target, &BlockingPolicy::Exhaustive);
-        assert_eq!(blocked.pairs_scored, dense.pairs_considered);
-        assert_eq!(
-            dense.matrix.as_slice(),
-            blocked.matrix.as_slice(),
-            "exhaustive run_blocked diverged from run at {threads} threads"
-        );
+    for floor in [None, Some(0.0)] {
+        for threads in [1usize, 3] {
+            let engine = engine()
+                .with_threads(threads)
+                .with_score_floor(floor)
+                .with_propagation(0.3);
+            let want = common::per_pair_matrix(&engine, &pair.source, &pair.target, floor, 0.3);
+            let full = engine.run(&pair.source, &pair.target);
+            let blocked =
+                engine.run_blocked(&pair.source, &pair.target, &BlockingPolicy::Exhaustive);
+            assert_eq!(blocked.pairs_scored, full.pairs_considered);
+            for (label, got) in [("run", &full), ("run_blocked", &blocked)] {
+                assert_eq!(
+                    got.matrix.as_slice(),
+                    want.as_slice(),
+                    "exhaustive {label} diverged from the per-pair oracle \
+                     (floor {floor:?}, {threads} threads)"
+                );
+            }
+        }
     }
 }

@@ -6,8 +6,12 @@
 //!   byte-identical to the cascade-off reference (full voter panel on every
 //!   candidate, floor applied at merge) — matrices and selections alike,
 //!   across seeds, blocking policies, executor widths, and floors.
+//! * The floored full match (exhaustive policy, cascade on) must reproduce
+//!   the per-pair oracle in `tests/common` byte for byte.
 //! * The signature popcount bound that powers tier 1 must dominate the true
 //!   token Jaccard for arbitrary id sets (property-tested).
+
+mod common;
 
 use harmony_core::index::BlockingPolicy;
 use harmony_core::prelude::*;
@@ -114,20 +118,31 @@ fn cascade_with_positive_floor_is_byte_identical_to_reference() {
     }
 }
 
-/// Pin: the floored dense pipeline (full panel, no cascade) and the
-/// floored exhaustive blocked pipeline (cascade) agree byte-for-byte —
-/// the strongest cross-path check, since the two never share a code path
-/// past the voter kernels.
+/// Pin: the floored full match (the exhaustive blocked pipeline, cascade
+/// on) reproduces the per-pair oracle byte for byte — the strongest
+/// cross-path check, since the two share nothing past the voter kernels.
 #[test]
 fn cascade_exhaustive_matches_floored_dense_run() {
     let pair = SchemaPair::generate(&GeneratorConfig::paper_case_study(11, 0.08));
-    let engine = engine().with_threads(3).with_score_floor(Some(0.0));
-    let dense = engine.pipeline().run(&pair.source, &pair.target);
-    let blocked =
-        engine
-            .pipeline()
-            .run_blocked(&pair.source, &pair.target, &BlockingPolicy::Exhaustive);
-    assert_eq!(dense.matrix.as_slice(), blocked.matrix.as_slice());
+    for floor in [0.0, 0.30] {
+        for threads in [1usize, 3] {
+            let engine = engine()
+                .with_threads(threads)
+                .with_score_floor(Some(floor))
+                .with_propagation(0.3);
+            assert!(engine.cascade_active());
+            let want =
+                common::per_pair_matrix(&engine, &pair.source, &pair.target, Some(floor), 0.3);
+            let got = engine.run(&pair.source, &pair.target);
+            assert!(got.timings.pairs_pruned > 0, "the cascade skipped nothing");
+            assert_eq!(
+                got.matrix.as_slice(),
+                want.as_slice(),
+                "floored full match diverged from the per-pair oracle \
+                 (floor {floor}, {threads} threads)"
+            );
+        }
+    }
 }
 
 /// A non-default voter panel deactivates the cascade (its bounds are

@@ -8,7 +8,8 @@
 
 use harmony_core::exec::Executor;
 use harmony_core::index::{
-    generate_candidates, generate_candidates_exec, reference, BlockingPolicy, ElementTokenIndex,
+    generate_candidates, generate_candidates_governed, reference, BlockingPolicy,
+    ElementTokenIndex, GovernedExec,
 };
 use harmony_core::prelude::*;
 use proptest::prelude::*;
@@ -141,8 +142,17 @@ fn csr_candidates_pin_to_reference_across_seeds_policies_threads() {
             assert_eq!(inline, expect, "inline CSR diverged ({label}, {policy:?})");
             for threads in [1usize, 2, 8] {
                 let exec = Executor::new(threads);
-                let parallel =
-                    generate_candidates_exec(&source, &target, &ps, &pt, &policy, &exec, threads);
+                let parallel = generate_candidates_governed(
+                    &source,
+                    &target,
+                    &ps,
+                    &pt,
+                    None,
+                    &policy,
+                    &exec,
+                    threads,
+                    GovernedExec::default(),
+                );
                 assert_eq!(
                     parallel, expect,
                     "CSR diverged at {threads} lanes ({label}, {policy:?})"

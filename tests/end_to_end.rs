@@ -234,7 +234,7 @@ fn instance_evidence_improves_hostile_name_matching() {
     let src = generate_instances(&pair.source, &pair.truth.source_semantics, &icfg);
     let tgt = generate_instances(&pair.target, &pair.truth.target_semantics, &icfg);
 
-    let eval_at = |result: &harmony_core::engine::MatchResult| {
+    let eval_at = |result: &harmony_core::engine::BlockedMatchResult| {
         let mut best = 0.0f64;
         for i in 0..20 {
             let th = i as f64 * 0.04;

@@ -21,7 +21,7 @@ use harmony_core::swap::SnapCell;
 use sm_enterprise::MetadataRepository;
 use sm_schema::{DataType, ElementKind, Schema, SchemaFormat, SchemaId};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 
 #[test]
@@ -31,11 +31,13 @@ fn snapcell_readers_only_observe_published_versions_in_order() {
 
     let cell: Arc<SnapCell<u64>> = Arc::new(SnapCell::with_value(Arc::new(0)));
     let done = Arc::new(AtomicBool::new(false));
+    let started = Arc::new(AtomicUsize::new(0));
 
     let readers: Vec<_> = (0..READERS)
         .map(|_| {
             let cell = Arc::clone(&cell);
             let done = Arc::clone(&done);
+            let started = Arc::clone(&started);
             std::thread::spawn(move || {
                 let mut last: u64 = 0;
                 let mut observed: HashSet<u64> = HashSet::new();
@@ -49,12 +51,20 @@ fn snapcell_readers_only_observe_published_versions_in_order() {
                     last = *snap;
                     observed.insert(*snap);
                     reads += 1;
+                    if reads == 1 {
+                        started.fetch_add(1, Ordering::Release);
+                    }
                 }
                 (observed, reads)
             })
         })
         .collect();
 
+    // Start handshake: every reader has read once before the first publish,
+    // so no reader can miss the whole run by never being scheduled.
+    while started.load(Ordering::Acquire) < READERS {
+        std::thread::yield_now();
+    }
     for v in 1..=VERSIONS {
         cell.publish(Arc::new(v));
         if v % 64 == 0 {
@@ -111,11 +121,13 @@ fn token_index_snapshots_stay_consistent_under_interleaved_registration() {
 
     let repo = Arc::new(RwLock::new(repo));
     let done = Arc::new(AtomicBool::new(false));
+    let started = Arc::new(AtomicUsize::new(0));
 
     let readers: Vec<_> = (0..READERS)
         .map(|_| {
             let repo = Arc::clone(&repo);
             let done = Arc::clone(&done);
+            let started = Arc::clone(&started);
             std::thread::spawn(move || {
                 let mut last_len = 0usize;
                 let mut reads = 0u64;
@@ -140,12 +152,20 @@ fn token_index_snapshots_stay_consistent_under_interleaved_registration() {
                     );
                     last_len = index.len();
                     reads += 1;
+                    if reads == 1 {
+                        started.fetch_add(1, Ordering::Release);
+                    }
                 }
                 reads
             })
         })
         .collect();
 
+    // Start handshake (see the first test): no write before every reader
+    // has pinned one snapshot.
+    while started.load(Ordering::Acquire) < READERS {
+        std::thread::yield_now();
+    }
     for id in SEED_SCHEMAS..SEED_SCHEMAS + WRITES {
         repo.write().expect("repo lock").register_schema(schema(id));
         // Refresh (and publish) from this thread roughly every other write,
